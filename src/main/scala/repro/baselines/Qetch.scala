@@ -65,14 +65,18 @@ object Qetch {
     1.0 / (1.0 + 10.0 * best)
   }
 
-  /** `Rel'(V, T)`: bipartite aggregation over all (line, column) pairs. */
-  def score(chart: ExtractedChart, cols: Array[Array[Double]]): Double = {
-    if (chart.m == 0 || cols.isEmpty) return 0.0
-    val lineProfiles = chart.lines.map(slopeProfile)
-    val colProfiles  = cols.map(columnProfiles)
-    val w = Array.tabulate(lineProfiles.length, cols.length) { (i, j) =>
+  /** `Rel'(V, T)` over prepared profiles: bipartite aggregation over all
+    * (line, column) pairs, normalised by the number of lines.
+    */
+  def scoreProfiles(lineProfiles: Array[Array[Double]], colProfiles: Array[Array[Array[Double]]]): Double = {
+    if (lineProfiles.isEmpty || colProfiles.isEmpty) return 0.0
+    val w = Array.tabulate(lineProfiles.length, colProfiles.length) { (i, j) =>
       lineColumnRel(lineProfiles(i), colProfiles(j))
     }
-    Matching.maxWeight(w)._1 / chart.m
+    Matching.maxWeight(w)._1 / lineProfiles.length
   }
+
+  /** `Rel'(V, T)` of an extracted chart against a table's columns. */
+  def score(chart: ExtractedChart, cols: Array[Array[Double]]): Double =
+    scoreProfiles(chart.lines.map(slopeProfile), cols.map(columnProfiles))
 }

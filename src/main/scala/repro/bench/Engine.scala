@@ -1,26 +1,69 @@
 package repro.bench
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.baselines.{Cml, DeLn, LineNet, Qetch}
 import repro.core._
-import repro.vis.ExtractedChart
 
 /** One scored (query, table) pair emitted by a distributed scoring pass. */
 final case class Scored(qid: Int, tid: Long, score: Double)
 
+/** One retrieval method as the three steps of a scoring pass: `query`
+  * prepares a query on the driver (the result is broadcast), `table`
+  * encodes one repository table inside the executors, and `score` scores
+  * one (query, table) pair. Scorers capture only plain values, so they
+  * serialise into the pass's closure.
+  */
+final case class Scorer[Q, T](
+    query: QueryPack => Q,
+    table: BenchTable => T,
+    score: (Q, T) => Double
+)
+
+object Scorer {
+
+  /** FCM (any variant via `cfg`). */
+  def fcm(cfg: FcmConfig): Scorer[ChartEmb, TableEmb] = Scorer(
+    q => ChartEncoder.encode(q.extracted, cfg),
+    t => DatasetEncoder.encodeTable(t.id, t.cols, cfg),
+    (chart, emb) => Matcher.score(chart, emb, cfg)
+  )
+
+  /** CML baseline: global embeddings + cosine. */
+  val cml: Scorer[Array[Double], Array[Double]] =
+    Scorer(_.cmlVec, t => Cml.tableVec(t.cols), Cml.score)
+
+  /** Qetch* baseline: local sketch matching + bipartite aggregation. */
+  val qetch: Scorer[Array[Array[Double]], Array[Array[Array[Double]]]] = Scorer(
+    _.extractedLines.map(Qetch.slopeProfile),
+    _.cols.map(Qetch.columnProfiles),
+    Qetch.scoreProfiles
+  )
+
+  /** DE-LN baseline: DeepEye recommends 5 charts per table, LineNet ranks. */
+  def deln(chartW: Int, chartH: Int): Scorer[Array[Double], Array[Array[Double]]] =
+    Scorer(_.lineNetVec, t => DeLn.candidateVecs(t.cols, chartW, chartH), DeLn.score)
+
+  /** Opt-LN upper bound: LineNet on the chart from the associated spec. */
+  def optLn(chartW: Int, chartH: Int): Scorer[Array[Double], Array[Double]] =
+    Scorer(_.lineNetVec, t => DeLn.optVec(t.cols, t.specCols, chartW, chartH), LineNet.sim)
+
+  /** Ground-truth `Rel(D, T)` (banded DTW + bipartite matching). */
+  val gt: Scorer[Array[Array[Double]], Array[Array[Double]]] =
+    Scorer(_.underlyingPrepared, _.cols.map(Relevance.prep), Relevance.relPrepared)
+}
+
 /** Distributed scan + similarity-match dataflow (DESIGN.md §3).
   *
   * The repository is a cached `Dataset[BenchTable]`; every retrieval method
-  * is a `mapPartitions` pass that encodes each table inside the executors
+  * is one `mapPartitions` pass that encodes each table inside the executors
   * and scores it against the broadcast query representations, emitting
   * `(qid, tid, score)` rows that are collected and ranked per query. Index
   * strategies restrict a pass through a broadcast candidate map.
   */
 object Engine {
 
-  /** Run one scoring pass; returns per-query rankings (best first) and the
-    * wall-clock milliseconds of the distributed job.
+  /** Run one scoring pass; returns per-query rankings (best first, ties by
+    * table id) and the wall-clock milliseconds of the distributed job.
     */
   def pass(
       spark: SparkSession,
@@ -40,147 +83,42 @@ object Engine {
     (ranked, ms)
   }
 
-  private def allowed(restrict: Map[Int, Set[Long]], qid: Int, tid: Long): Boolean =
-    restrict.isEmpty || restrict.get(qid).forall(_.contains(tid))
+  /** Rank the repository for every query with `scorer`. A query listed in
+    * `restrict` is scored only against its candidate tables; a table no
+    * query wants is not encoded.
+    */
+  def rank[Q, T](
+      spark: SparkSession,
+      tables: Dataset[BenchTable],
+      queries: Array[QueryPack],
+      scorer: Scorer[Q, T],
+      restrict: Map[Int, Set[Long]] = Map.empty
+  ): (Map[Int, Array[Long]], Long) = {
+    val bq = spark.sparkContext.broadcast(queries.map(q => (q.qid, scorer.query(q))))
+    val br = spark.sparkContext.broadcast(restrict)
+    pass(
+      spark,
+      tables,
+      t => {
+        val wanted = bq.value.filter { case (qid, _) =>
+          br.value.get(qid).forall(_.contains(t.id))
+        }
+        if (wanted.isEmpty) Iterator.empty
+        else {
+          val enc = scorer.table(t)
+          wanted.iterator.map { case (qid, q) => Scored(qid, t.id, scorer.score(q, enc)) }
+        }
+      }
+    )
+  }
 
-  /** FCM (any variant via `cfg`): encode table, score every query chart. */
+  /** FCM (any variant via `cfg`). */
   def fcmRank(
       spark: SparkSession,
       tables: Dataset[BenchTable],
       queries: Array[QueryPack],
       cfg: FcmConfig,
       restrict: Map[Int, Set[Long]] = Map.empty
-  ): (Map[Int, Array[Long]], Long) = {
-    val encoded = queries.map(q => (q.qid, ChartEncoder.encode(q.extracted, cfg)))
-    val bq = spark.sparkContext.broadcast(encoded)
-    val br = spark.sparkContext.broadcast(restrict)
-    pass(
-      spark,
-      tables,
-      t => {
-        val wanted = bq.value.filter { case (qid, _) => allowed(br.value, qid, t.id) }
-        if (wanted.isEmpty) Iterator.empty
-        else {
-          val emb = DatasetEncoder.encodeTable(t.id, t.cols, cfg)
-          wanted.iterator.map { case (qid, chart) =>
-            Scored(qid, t.id, Matcher.score(chart, emb, cfg))
-          }
-        }
-      }
-    )
-  }
-
-  /** CML baseline: global embeddings + cosine. */
-  def cmlRank(
-      spark: SparkSession,
-      tables: Dataset[BenchTable],
-      queries: Array[QueryPack]
-  ): (Map[Int, Array[Long]], Long) = {
-    val bq = spark.sparkContext.broadcast(queries.map(q => (q.qid, q.cmlVec)))
-    pass(
-      spark,
-      tables,
-      t => {
-        val vec = Cml.tableVec(t.cols)
-        bq.value.iterator.map { case (qid, qv) => Scored(qid, t.id, Cml.score(qv, vec)) }
-      }
-    )
-  }
-
-  /** Qetch* baseline: local sketch matching + bipartite aggregation. */
-  def qetchRank(
-      spark: SparkSession,
-      tables: Dataset[BenchTable],
-      queries: Array[QueryPack]
-  ): (Map[Int, Array[Long]], Long) = {
-    val bq = spark.sparkContext.broadcast(
-      queries.map(q => (q.qid, q.extractedLines.map(Qetch.slopeProfile)))
-    )
-    pass(
-      spark,
-      tables,
-      t => {
-        val colProfiles = t.cols.map(Qetch.columnProfiles)
-        bq.value.iterator.map { case (qid, lineProfiles) =>
-          if (lineProfiles.isEmpty || colProfiles.isEmpty) Scored(qid, t.id, 0.0)
-          else {
-            val w = Array.tabulate(lineProfiles.length, colProfiles.length) { (i, j) =>
-              Qetch.lineColumnRel(lineProfiles(i), colProfiles(j))
-            }
-            Scored(qid, t.id, Matching.maxWeight(w)._1 / lineProfiles.length)
-          }
-        }
-      }
-    )
-  }
-
-  /** DE-LN baseline: DeepEye recommends 5 charts per table, LineNet ranks. */
-  def delnRank(
-      spark: SparkSession,
-      tables: Dataset[BenchTable],
-      queries: Array[QueryPack],
-      chartW: Int,
-      chartH: Int
-  ): (Map[Int, Array[Long]], Long) = {
-    val bq = spark.sparkContext.broadcast(queries.map(q => (q.qid, q.lineNetVec)))
-    pass(
-      spark,
-      tables,
-      t => {
-        val cand = DeLn.candidateVecs(t.cols, chartW, chartH)
-        bq.value.iterator.map { case (qid, qv) => Scored(qid, t.id, DeLn.score(qv, cand)) }
-      }
-    )
-  }
-
-  /** Opt-LN upper bound: LineNet on the chart from the associated spec. */
-  def optLnRank(
-      spark: SparkSession,
-      tables: Dataset[BenchTable],
-      queries: Array[QueryPack],
-      chartW: Int,
-      chartH: Int
-  ): (Map[Int, Array[Long]], Long) = {
-    val bq = spark.sparkContext.broadcast(queries.map(q => (q.qid, q.lineNetVec)))
-    pass(
-      spark,
-      tables,
-      t => {
-        val vec = DeLn.optVec(t.cols, t.specCols, chartW, chartH)
-        bq.value.iterator.map { case (qid, qv) => Scored(qid, t.id, LineNet.sim(qv, vec)) }
-      }
-    )
-  }
-
-  /** Ground-truth `Rel(D, T)` pass (banded DTW + bipartite matching). */
-  def gtRank(
-      spark: SparkSession,
-      tables: Dataset[BenchTable],
-      queries: Array[QueryPack]
-  ): (Map[Int, Array[Long]], Long) = {
-    val bq = spark.sparkContext.broadcast(queries.map(q => (q.qid, q.underlyingPrepared)))
-    pass(
-      spark,
-      tables,
-      t => {
-        val prepared = t.cols.map(Relevance.prep)
-        bq.value.iterator.map { case (qid, d) =>
-          Scored(qid, t.id, Relevance.relPrepared(d, prepared))
-        }
-      }
-    )
-  }
-
-  /** Pure-Catalyst per-column statistics (min/max/sum) of the repository —
-    * the interval-tree inputs — cross-checked against DuckDB in tests.
-    */
-  def columnStatsDF(spark: SparkSession, tables: Dataset[BenchTable]): DataFrame = {
-    val sp = spark
-    import sp.implicits._
-    tables
-      .select($"id", posexplode($"cols").as(Seq("colIdx", "values")))
-      .select($"id", $"colIdx", explode($"values").as("v"))
-      .groupBy($"id", $"colIdx")
-      .agg(min($"v").as("mn"), max($"v").as("mx"), sum($"v").as("sm"))
-  }
+  ): (Map[Int, Array[Long]], Long) =
+    rank(spark, tables, queries, Scorer.fcm(cfg), restrict)
 }

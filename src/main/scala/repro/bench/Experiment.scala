@@ -54,14 +54,17 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
 
   // ---- rankings ----------------------------------------------------------
 
-  lazy val rankFcm: Map[Int, Array[Long]]      = Engine.fcmRank(spark, tablesDs, bench.queries, fcmCfg)._1
-  lazy val rankFcmSweep: Map[Int, Array[Long]] = Engine.fcmRank(spark, tablesDs, bench.sweep, fcmCfg)._1
-  lazy val rankHcmanOff: Map[Int, Array[Long]] = Engine.fcmRank(spark, tablesDs, bench.queries, hcmanOffCfg)._1
-  lazy val rankDaOff: Map[Int, Array[Long]]    = Engine.fcmRank(spark, tablesDs, bench.queries, daOffCfg)._1
-  lazy val rankCml: Map[Int, Array[Long]]      = Engine.cmlRank(spark, tablesDs, bench.queries)._1
-  lazy val rankQetch: Map[Int, Array[Long]]    = Engine.qetchRank(spark, tablesDs, bench.queries)._1
-  lazy val rankDeLn: Map[Int, Array[Long]]     = Engine.delnRank(spark, tablesDs, bench.queries, cfg.chartW, cfg.chartH)._1
-  lazy val rankOptLn: Map[Int, Array[Long]]    = Engine.optLnRank(spark, tablesDs, bench.queries, cfg.chartW, cfg.chartH)._1
+  private def ranked[Q, T](qs: Array[QueryPack], scorer: Scorer[Q, T]): Map[Int, Array[Long]] =
+    Engine.rank(spark, tablesDs, qs, scorer)._1
+
+  lazy val rankFcm: Map[Int, Array[Long]]      = ranked(bench.queries, Scorer.fcm(fcmCfg))
+  lazy val rankFcmSweep: Map[Int, Array[Long]] = ranked(bench.sweep, Scorer.fcm(fcmCfg))
+  lazy val rankHcmanOff: Map[Int, Array[Long]] = ranked(bench.queries, Scorer.fcm(hcmanOffCfg))
+  lazy val rankDaOff: Map[Int, Array[Long]]    = ranked(bench.queries, Scorer.fcm(daOffCfg))
+  lazy val rankCml: Map[Int, Array[Long]]      = ranked(bench.queries, Scorer.cml)
+  lazy val rankQetch: Map[Int, Array[Long]]    = ranked(bench.queries, Scorer.qetch)
+  lazy val rankDeLn: Map[Int, Array[Long]]     = ranked(bench.queries, Scorer.deln(cfg.chartW, cfg.chartH))
+  lazy val rankOptLn: Map[Int, Array[Long]]    = ranked(bench.queries, Scorer.optLn(cfg.chartW, cfg.chartH))
 
   /** (name, rankings) in the paper's column order. */
   def methodRanks: Seq[(String, Map[Int, Array[Long]])] = Seq(
@@ -172,7 +175,7 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
   ): Map[(Int, Int), Double] = {
     (for { p1 <- p1s; p2 <- p2s } yield {
       val c    = trainVariant(defaultCfg.copy(p1 = p1, p2 = p2))
-      val rank = Engine.fcmRank(spark, tablesDs, bench.queries, c)._1
+      val rank = ranked(bench.queries, Scorer.fcm(c))
       val (p, _) = metricsOf(rank, queriesAll, gtMain)
       (p1, p2) -> p
     }).toMap
@@ -195,7 +198,7 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
   def tableVIII(): Seq[IndexRow] = {
     val charts = bench.queries.map(q => q.qid -> ChartEncoder.encode(q.extracted, defaultCfg)).toMap
     // warm the JIT + broadcast paths so the timed passes are comparable
-    Engine.fcmRank(spark, tablesDs, bench.queries.take(4), fcmCfg)
+    Engine.rank(spark, tablesDs, bench.queries.take(4), Scorer.fcm(fcmCfg))
     IndexStrategy.all.map { strat =>
       val t0 = System.nanoTime()
       val restrict: Map[Int, Set[Long]] = strat match {
@@ -204,7 +207,7 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
           bench.queries.map(q => q.qid -> index.candidates(strat, charts(q.qid))).toMap
       }
       val driverMs = (System.nanoTime() - t0) / 1000000L
-      val (rank, passMs) = Engine.fcmRank(spark, tablesDs, bench.queries, fcmCfg, restrict)
+      val (rank, passMs) = Engine.rank(spark, tablesDs, bench.queries, Scorer.fcm(fcmCfg), restrict)
       val (p, n) = metricsOf(rank, queriesAll, gtMain)
       val avgCand =
         if (restrict.isEmpty) bench.repo.length.toDouble
@@ -217,7 +220,7 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
   def tableIX(ns: Seq[Int] = 1 to 8): Seq[(Int, Double, Double)] =
     ns.map { n =>
       val c    = trainVariant(defaultCfg, nNeg = n)
-      val rank = Engine.fcmRank(spark, tablesDs, bench.queries, c)._1
+      val rank = ranked(bench.queries, Scorer.fcm(c))
       val (p, nd) = metricsOf(rank, queriesAll, gtMain)
       (n, p, nd)
     }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{Dataset, SparkSession}
 
 /** Ground-truth construction (paper Sec. VII-A): for every query, the
   * top-k repository tables by `Rel(D, T)` form the relevant set. Computed
-  * with the distributed DTW + bipartite-matching pass of `Engine.gtRank`.
+  * by `Engine.rank` with the DTW + bipartite-matching `Scorer.gt`.
   */
 object GroundTruth {
 
@@ -15,5 +15,5 @@ object GroundTruth {
       queries: Array[QueryPack],
       k: Int
   ): Map[Int, Array[Long]] =
-    Engine.gtRank(spark, tables, queries)._1.map { case (qid, ranked) => qid -> ranked.take(k) }
+    Engine.rank(spark, tables, queries, Scorer.gt)._1.map { case (qid, ranked) => qid -> ranked.take(k) }
 }

@@ -10,7 +10,6 @@ package repro.core
   *                  the FCM-HCMAN ablation of Table V sets this to false
   * @param tau       similarity kernel bandwidth (z-units)
   * @param attnKappa softmax temperature of the SL-SAN / LL-SAN attention
-  * @param gateGamma softmax temperature of the MoE gate
   * @param weights   logistic head weights, length featureDim+1 (bias first);
   *                  null selects untrained defaults (useful in unit tests)
   */
@@ -21,7 +20,6 @@ final case class FcmConfig(
     useHcman: Boolean = true,
     tau: Double = 0.35,
     attnKappa: Double = 6.0,
-    gateGamma: Double = 14.0,
     weights: Array[Double] = null
 ) extends Serializable {
 

@@ -6,9 +6,10 @@ package repro.core
   *  - SL-SAN (segment level): soft-attention alignment between line
   *    segments and data segments with a positional prior, producing a
   *    5-dim pair feature vector per (line, column-variant);
-  *  - MoE gate (Sec. V-D): the identity expert plus one expert per
-  *    aggregation operator (each at its best HMRL scale) are blended by a
-  *    softmax over their fit;
+  *  - MoE gate (Sec. V-D): a sparse top-1 choice among the identity expert
+  *    and one expert per aggregation operator (each at its best HMRL
+  *    scale); an aggregation expert wins only if it beats the identity
+  *    expert by `GateMargin`;
   *  - LL-SAN (line-to-column level): attention plus exact bipartite
   *    assignment over the pair scores, producing a 6-dim chart-level
   *    feature vector;

@@ -1,32 +1,41 @@
 package repro.bench
 
-import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
-import repro.core.FcmConfig
+import repro.SparkSpec
+import repro.baselines.{Cml, DeLn, LineNet, Qetch}
+import repro.core._
 
 class EngineSpec extends SparkSpec {
 
   private lazy val exp = UnitCtx.exp
 
   test("pass emits a full ranking per query (no index)") {
-    val (ranks, ms) = Engine.cmlRank(spark, exp.tablesDs, exp.bench.queries)
+    val (ranks, ms) = Engine.rank(spark, exp.tablesDs, exp.bench.queries, Scorer.cml)
     assert(ms >= 0)
     assert(ranks.keySet == exp.bench.queries.map(_.qid).toSet)
     ranks.values.foreach(r => assert(r.length == exp.bench.repo.length))
   }
 
   test("rankings are sorted by descending score with deterministic ties") {
-    val (a, _) = Engine.cmlRank(spark, exp.tablesDs, exp.bench.queries)
-    val (b, _) = Engine.cmlRank(spark, exp.tablesDs, exp.bench.queries)
+    val (a, _) = Engine.rank(spark, exp.tablesDs, exp.bench.queries, Scorer.cml)
+    val (b, _) = Engine.rank(spark, exp.tablesDs, exp.bench.queries, Scorer.cml)
     a.foreach { case (qid, ranked) => assert(ranked.toSeq == b(qid).toSeq) }
   }
 
   test("restriction maps limit the scored tables") {
-    val q = exp.bench.queries.head
-    val allowed = exp.bench.repo.take(10).map(_.id).toSet
-    val (ranks, _) = Engine.fcmRank(
-      spark, exp.tablesDs, Array(q), FcmConfig(), Map(q.qid -> allowed))
-    assert(ranks(q.qid).toSet == allowed)
+    val Array(q, other) = exp.bench.queries.take(2)
+    val allowed  = exp.bench.repo.take(10).map(_.id).toSet
+    val restrict = Map(q.qid -> allowed)
+    val split    = exp.tablesDs.repartition(3)
+    Seq[Scorer[_, _]](Scorer.fcm(FcmConfig()), Scorer.cml).foreach { scorer =>
+      val (ranks, _) = Engine.rank(spark, exp.tablesDs, Array(q), scorer, restrict)
+      assert(ranks(q.qid).toSet == allowed)
+      val (both, _) = Engine.rank(spark, exp.tablesDs, Array(q, other), scorer, restrict)
+      assert(both(q.qid).toSeq == ranks(q.qid).toSeq)
+      assert(both(other.qid).length == exp.bench.repo.length)
+      val (resplit, _) = Engine.rank(spark, split, Array(q, other), scorer, restrict)
+      assert(resplit.keySet == both.keySet)
+      both.foreach { case (qid, ranked) => assert(resplit(qid).toSeq == ranked.toSeq) }
+    }
   }
 
   test("fcmRank covers sweep queries too") {
@@ -36,43 +45,35 @@ class EngineSpec extends SparkSpec {
 
   test("gtRank gives the source table a perfect score for plain queries") {
     val q = exp.bench.queries.find(!_.isDa).get
-    val (ranks, _) = Engine.gtRank(spark, exp.tablesDs, Array(q))
+    val (ranks, _) = Engine.rank(spark, exp.tablesDs, Array(q), Scorer.gt)
     assert(ranks(q.qid).head == q.sourceTable)
   }
 
-  test("columnStatsDF matches DuckDB on the exploded repository sample") {
-    val sp = spark
-    import sp.implicits._
-    val sample = sp.createDataset(exp.bench.repo.take(3))
-    val stats = Engine.columnStatsDF(spark, sample)
-      .select($"id", $"colIdx", round($"mn", 4).as("mn"), round($"mx", 4).as("mx"),
-        round($"sm", 2).as("sm"))
-    val exploded = sample
-      .select($"id", posexplode($"cols").as(Seq("colIdx", "values")))
-      .select($"id", $"colIdx", explode($"values").as("v"))
-    Oracle.assertEquivalent(
-      stats,
-      """SELECT CAST(id AS BIGINT) AS id, CAST(colIdx AS INT) AS colIdx,
-        |       ROUND(MIN(CAST(v AS DOUBLE)), 4) AS mn,
-        |       ROUND(MAX(CAST(v AS DOUBLE)), 4) AS mx,
-        |       ROUND(SUM(CAST(v AS DOUBLE)), 2) AS sm
-        |FROM x GROUP BY id, colIdx""".stripMargin,
-      "x" -> exploded.toDF()
+  test("rank equals a driver-side ranking of the repository for every method") {
+    val w = exp.cfg.chartW
+    val h = exp.cfg.chartH
+    def fcm(cfg: FcmConfig): (QueryPack, BenchTable) => Double = (q, t) =>
+      Matcher.score(ChartEncoder.encode(q.extracted, cfg), DatasetEncoder.encodeTable(t.id, t.cols, cfg), cfg)
+    val methods: Seq[(String, Scorer[_, _], (QueryPack, BenchTable) => Double)] = Seq(
+      ("FCM", Scorer.fcm(FcmConfig()), fcm(FcmConfig())),
+      ("FCM-DA", Scorer.fcm(FcmConfig(useDa = false)), fcm(FcmConfig(useDa = false))),
+      ("FCM-HCMAN", Scorer.fcm(FcmConfig(useHcman = false)), fcm(FcmConfig(useHcman = false))),
+      ("CML", Scorer.cml, (q, t) => Cml.score(q.cmlVec, Cml.tableVec(t.cols))),
+      ("Qetch*", Scorer.qetch, (q, t) => Qetch.score(q.extracted, t.cols)),
+      ("DE-LN", Scorer.deln(w, h), (q, t) => DeLn.score(q.lineNetVec, DeLn.candidateVecs(t.cols, w, h))),
+      ("Opt-LN", Scorer.optLn(w, h), (q, t) => LineNet.sim(q.lineNetVec, DeLn.optVec(t.cols, t.specCols, w, h))),
+      ("GT", Scorer.gt, (q, t) => Relevance.relPrepared(q.underlyingPrepared, t.cols.map(Relevance.prep)))
     )
-  }
-
-  test("columnStatsDF agrees with the driver-side encoder stats") {
-    val sp = spark
-    import sp.implicits._
-    val sample = sp.createDataset(exp.bench.repo.take(2))
-    val rows = Engine.columnStatsDF(spark, sample).collect()
-    val byKey = rows.map(r => (r.getLong(0), r.getInt(1)) -> (r.getDouble(2), r.getDouble(3), r.getDouble(4))).toMap
-    exp.bench.repo.take(2).foreach { t =>
-      t.cols.zipWithIndex.foreach { case (c, i) =>
-        val (mn, mx, sm) = byKey((t.id, i))
-        assert(math.abs(mn - c.min) < 1e-6)
-        assert(math.abs(mx - c.max) < 1e-6)
-        assert(math.abs(sm - c.sum) < 1e-3)
+    val queries = exp.bench.queries
+    methods.foreach { case (name, scorer, reference) =>
+      val (ranks, _) = Engine.rank(spark, exp.tablesDs, queries, scorer)
+      assert(ranks.keySet == queries.map(_.qid).toSet, name)
+      queries.foreach { q =>
+        val expected = exp.bench.repo
+          .map(t => (reference(q, t), t.id))
+          .sortBy { case (s, tid) => (-s, tid) }
+          .map(_._2)
+        assert(ranks(q.qid).toSeq == expected.toSeq, s"$name, query ${q.qid}")
       }
     }
   }
