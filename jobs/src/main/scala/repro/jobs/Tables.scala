@@ -14,7 +14,7 @@ import repro.bench.{BenchConfig, Experiment}
 object Jobs {
 
   def session(): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-jobs")
       .config("spark.sql.shuffle.partitions", "64")

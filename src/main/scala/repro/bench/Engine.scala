@@ -55,10 +55,17 @@ object Scorer {
 /** Distributed scan + similarity-match dataflow (DESIGN.md §3).
   *
   * The repository is a cached `Dataset[BenchTable]`; every retrieval method
-  * is one `mapPartitions` pass that encodes each table inside the executors
-  * and scores it against the broadcast query representations, emitting
-  * `(qid, tid, score)` rows that are collected and ranked per query. Index
-  * strategies restrict a pass through a broadcast candidate map.
+  * is one `mapPartitions` job over its RDD that encodes each table inside
+  * the executors and scores it against the broadcast query representations,
+  * emitting `(qid, tid, score)` rows that are collected and ranked per
+  * query. Index strategies restrict a pass through a broadcast candidate
+  * map.
+  *
+  * A `Dataset`'s `rdd` is built once and memoised, so the plan analysis,
+  * optimisation and deserializer codegen are paid by the first pass over a
+  * given `Dataset` instance only. That first `.rdd` also fixes the plan, so
+  * a repository `Dataset` must be persisted before its first pass: one
+  * persisted later is still recomputed from its source on every pass.
   */
 object Engine {
 
@@ -70,10 +77,8 @@ object Engine {
       tables: Dataset[BenchTable],
       f: BenchTable => Iterator[Scored]
   ): (Map[Int, Array[Long]], Long) = {
-    val sp = spark
-    import sp.implicits._
     val t0   = System.nanoTime()
-    val rows = tables.mapPartitions(_.flatMap(f)).collect()
+    val rows = tables.rdd.mapPartitions(_.flatMap(f)).collect()
     val ms   = (System.nanoTime() - t0) / 1000000L
     val ranked = rows
       .groupBy(_.qid)

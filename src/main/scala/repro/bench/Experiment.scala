@@ -33,7 +33,7 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
   lazy val tablesDs: Dataset[BenchTable] = {
     val sp = spark
     import sp.implicits._
-    val ds = sp.createDataset(bench.repo).persist()
+    val ds = sp.createDataset(bench.repo.toSeq).persist()
     ds.count() // materialise before any timed pass
     ds
   }

@@ -70,7 +70,9 @@ final case class DaVariant(
     window: Int,
     segs: Array[Array[Double]],
     pos: Array[Double]
-) extends Serializable
+) extends Serializable {
+  lazy val pooled: Array[Double] = Features.pool(segs)
+}
 
 /** Segment-level embedding of one column, with raw stats for the
   * range-overlap feature and the interval-tree index.
@@ -85,7 +87,7 @@ final case class ColumnEmb(
     pos: Array[Double],
     variants: Array[DaVariant]
 ) extends Serializable {
-  def pooled: Array[Double] = Features.pool(segs)
+  lazy val pooled: Array[Double] = Features.pool(segs)
 }
 
 /** Segment-level embedding of a whole table. */

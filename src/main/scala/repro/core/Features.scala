@@ -122,14 +122,15 @@ object Features {
   }
 
   /** Gaussian-ish similarity kernel in z-units; `tau` is the bandwidth.
-    * Returns a score in (0, 1], 1 for identical features.
+    * Returns a score in (0, 1], 1 for identical features. Vectors are at
+    * most `Dim` long.
     */
   def sim(a: Array[Double], b: Array[Double], tau: Double): Double = {
     var d = 0.0
     var j = 0
     while (j < a.length) {
       val x = a(j) - b(j)
-      d += W(j % W.length) * x * x
+      d += W(j) * x * x
       j += 1
     }
     math.exp(-math.sqrt(d / WSum) / tau)

@@ -44,31 +44,45 @@ object Matcher {
       cSegs: Array[Array[Double]],
       cPos: Array[Double],
       cfg: FcmConfig
+  ): Array[Double] =
+    pairFeatures(lSegs, lPos, Features.pool(lSegs), cSegs, cPos, Features.pool(cSegs), cfg)
+
+  /** `pairFeatures` with both sides' pooled vectors supplied by the caller. */
+  private def pairFeatures(
+      lSegs: Array[Array[Double]],
+      lPos: Array[Double],
+      lPool: Array[Double],
+      cSegs: Array[Array[Double]],
+      cPos: Array[Double],
+      cPool: Array[Double],
+      cfg: FcmConfig
   ): Array[Double] = {
     val nl = lSegs.length
     val nc = cSegs.length
     if (nl == 0 || nc == 0) return Array.fill(PairFeatDim)(0.0)
-    val s = Array.ofDim[Double](nl, nc)
+    val s = new Array[Double](nl * nc) // row-major: s(j * nc + n)
     var j = 0
     while (j < nl) {
       var n = 0
       while (n < nc) {
-        s(j)(n) = Features.sim(lSegs(j), cSegs(n), cfg.tau)
+        s(j * nc + n) = Features.sim(lSegs(j), cSegs(n), cfg.tau)
         n += 1
       }
       j += 1
     }
+    val z = new Array[Double](nc) // one line segment's attention logits
     var softAlign = 0.0
     var bestMean  = 0.0
     var posDev    = 0.0
     j = 0
     while (j < nl) {
       // attention logits: similarity biased towards positionally close segments
+      val row = j * nc
       var zMax = Double.NegativeInfinity
       var n = 0
       while (n < nc) {
-        val z = cfg.attnKappa * s(j)(n) - 3.0 * math.abs(lPos(j) - cPos(n))
-        if (z > zMax) zMax = z
+        z(n) = cfg.attnKappa * s(row + n) - 3.0 * math.abs(lPos(j) - cPos(n))
+        if (z(n) > zMax) zMax = z(n)
         n += 1
       }
       var den = 0.0
@@ -77,11 +91,10 @@ object Matcher {
       var bestN = 0
       n = 0
       while (n < nc) {
-        val z = cfg.attnKappa * s(j)(n) - 3.0 * math.abs(lPos(j) - cPos(n))
-        val e = math.exp(z - zMax)
+        val e = math.exp(z(n) - zMax)
         den += e
-        num += e * s(j)(n)
-        if (s(j)(n) > best) { best = s(j)(n); bestN = n }
+        num += e * s(row + n)
+        if (s(row + n) > best) { best = s(row + n); bestN = n }
         n += 1
       }
       softAlign += num / den
@@ -97,12 +110,12 @@ object Matcher {
     while (n < nc) {
       var best = 0.0
       j = 0
-      while (j < nl) { if (s(j)(n) > best) best = s(j)(n); j += 1 }
+      while (j < nl) { if (s(j * nc + n) > best) best = s(j * nc + n); j += 1 }
       coverage += best
       n += 1
     }
     coverage /= nc
-    val globalSim = Features.sim(Features.pool(lSegs), Features.pool(cSegs), cfg.tau)
+    val globalSim = Features.sim(lPool, cPool, cfg.tau)
     Array(softAlign, bestMean, coverage, posCons, globalSim)
   }
 
@@ -133,7 +146,7 @@ object Matcher {
       col: ColumnEmb,
       cfg: FcmConfig
   ): (Array[Double], Int) = {
-    val identity = pairFeatures(line.segs, line.pos, col.segs, col.pos, cfg)
+    val identity = pairFeatures(line.segs, line.pos, line.pooled, col.segs, col.pos, col.pooled, cfg)
     if (!cfg.useDa || col.variants.isEmpty) return (identity, 0)
 
     val idScore = preScore(identity)
@@ -143,7 +156,7 @@ object Matcher {
     var i = 0
     while (i < col.variants.length) {
       val v = col.variants(i)
-      val f = pairFeatures(line.segs, line.pos, v.segs, v.pos, cfg)
+      val f = pairFeatures(line.segs, line.pos, line.pooled, v.segs, v.pos, v.pooled, cfg)
       val u = preScore(f)
       if (u > bestScore) { bestScore = u; bestFeat = f; bestOp = v.op }
       i += 1
@@ -249,8 +262,12 @@ object Matcher {
   def features(chart: ChartEmb, tab: TableEmb, cfg: FcmConfig): Array[Double] =
     if (cfg.useHcman) tableFeatures(chart, tab, cfg) else hcmanOffFeatures(chart, tab, cfg)
 
-  /** The relevance estimate `Rel'(V, T)` of this FCM variant. */
+  /** The relevance estimate `Rel'(V, T)` of this FCM variant: exactly 0
+    * for a chart without lines or a table without a non-empty column, as
+    * the ground truth `Rel` is.
+    */
   def score(chart: ChartEmb, tab: TableEmb, cfg: FcmConfig): Double = {
+    if (chart.m == 0 || tab.cols.forall(_.nRows == 0)) return 0.0
     val x = features(chart, tab, cfg)
     val w = cfg.headWeights
     var z = w(0)

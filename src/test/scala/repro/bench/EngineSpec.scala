@@ -38,6 +38,23 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  test("a fresh un-persisted Dataset ranks like the persisted one, pass after pass") {
+    val sp = spark
+    import sp.implicits._
+    val fresh   = spark.createDataset(exp.bench.repo.toSeq)
+    val queries = exp.bench.queries
+    Seq[Scorer[_, _]](Scorer.fcm(FcmConfig()), Scorer.gt).foreach { scorer =>
+      val (persisted, _) = Engine.rank(spark, exp.tablesDs, queries, scorer)
+      val (again, _)     = Engine.rank(spark, exp.tablesDs, queries, scorer)
+      val (first, _)     = Engine.rank(spark, fresh, queries, scorer)
+      val (second, _)    = Engine.rank(spark, fresh, queries, scorer)
+      Seq(again, first, second).foreach { ranks =>
+        assert(ranks.keySet == persisted.keySet)
+        persisted.foreach { case (qid, ranked) => assert(ranks(qid).toSeq == ranked.toSeq, s"query $qid") }
+      }
+    }
+  }
+
   test("fcmRank covers sweep queries too") {
     val (ranks, _) = Engine.fcmRank(spark, exp.tablesDs, exp.bench.sweep.take(2), FcmConfig())
     assert(ranks.size == 2)

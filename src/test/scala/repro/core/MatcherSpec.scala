@@ -1,16 +1,16 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.vis.{AggOp, ExtractedChart, Extractor, Raster}
+import repro.vis.{AggOp, Extractor, Raster}
 
 import scala.util.Random
 
 class MatcherSpec extends AnyFunSuite {
 
-  private val rng = new Random(31)
   private val cfg = FcmConfig()
 
-  private def walk(n: Int, seed: Int = 0): Array[Double] = {
+  private def walk(n: Int, seed: Int): Array[Double] = {
     val r = new Random(seed + 100)
     var x = 0.0
     Array.fill(n) { x += r.nextGaussian(); x }
@@ -133,9 +133,318 @@ class MatcherSpec extends AnyFunSuite {
     assert(s > 0.0 && s < 1.0)
   }
 
+  test("score is exactly 0 for a chart without lines, with DA on, DA off and HCMAN off") {
+    val noLines = ChartEmb(Array.empty, 0.0, 10.0)
+    Seq(cfg, cfg.copy(useDa = false), cfg.copy(useHcman = false)).foreach { c =>
+      val t = DatasetEncoder.encodeTable(1L, Array(walk(256, 20), walk(256, 21)), c)
+      assert(Matcher.score(noLines, t, c) == 0.0, c)
+    }
+  }
+
+  test("score is exactly 0 for a table without rows, with DA on, DA off and HCMAN off") {
+    Seq(cfg, cfg.copy(useDa = false), cfg.copy(useHcman = false)).foreach { c =>
+      val chart = chartOf(Array(walk(256, 22)), c)
+      val emptyCols = DatasetEncoder.encodeTable(1L, Array(Array.empty[Double], Array.empty[Double]), c)
+      val noCols    = DatasetEncoder.encodeTable(2L, Array.empty, c)
+      assert(Matcher.score(chart, emptyCols, c) == 0.0, c)
+      assert(Matcher.score(chart, noCols, c) == 0.0, c)
+      // a single non-empty column is enough for a regular score
+      val oneCol = DatasetEncoder.encodeTable(3L, Array(Array.empty[Double], walk(256, 22)), c)
+      assert(Matcher.score(chart, oneCol, c) > 0.0, c)
+    }
+  }
+
+  private def check(p: Prop): Unit = {
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60), p)
+    assert(res.passed, res.status.toString)
+  }
+
+  private def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  private val segsGen: Gen[(Array[Array[Double]], Array[Double])] = for {
+    n   <- Gen.choose(1, 12)
+    vs  <- Gen.listOfN(n * Features.Dim, Gen.choose(-3.0, 3.0))
+    pos <- Gen.listOfN(n, Gen.choose(0.0, 1.0))
+  } yield (vs.toArray.grouped(Features.Dim).toArray, pos.toArray)
+
+  /** A line and a column whose segments are random, or (one case in three)
+    * identical, so that every segment distance is exactly 0.
+    */
+  private val pairGen = for {
+    line <- segsGen
+    same <- Gen.choose(0, 2).map(_ == 0)
+    col  <- if (same) Gen.const((line._1.map(_.clone), line._2.clone)) else segsGen
+  } yield (line, col)
+
+  test("pairFeatures equals the reference kernel bit for bit (scalacheck)") {
+    check(Prop.forAll(pairGen) { case ((lSegs, lPos), (cSegs, cPos)) =>
+      bits(Matcher.pairFeatures(lSegs, lPos, cSegs, cPos, cfg)) ==
+        bits(Reference.pairFeatures(lSegs, lPos, cSegs, cPos, cfg))
+    })
+  }
+
+  test("daPairFeatures equals the reference MoE bit for bit (scalacheck)") {
+    val gen = for {
+      ((lSegs, lPos), (cSegs, cPos)) <- pairGen
+      nVar <- Gen.choose(0, 6)
+      vars <- Gen.listOfN(nVar, segsGen)
+      ops  <- Gen.listOfN(nVar, Gen.choose(1, 4))
+      // sometimes a variant repeats the line, so an aggregation expert wins
+      hit  <- Gen.choose(-1, nVar - 1)
+    } yield {
+      val variants = vars.zip(ops).zipWithIndex.map { case (((s, p), op), i) =>
+        if (i == hit) DaVariant(op, 4, lSegs.map(_.clone), lPos.clone) else DaVariant(op, 4, s, p)
+      }
+      (LineEmb(lSegs, lPos, Features.pool(lSegs), 0.0, 1.0),
+       ColumnEmb(0, 64, 0.0, 1.0, 1.0, cSegs, cPos, variants.toArray))
+    }
+    var aggWins = 0
+    Seq(cfg, cfg.copy(useDa = false)).foreach { c =>
+      check(Prop.forAll(gen) { case (line, col) =>
+        val (f, op)       = Matcher.daPairFeatures(line, col, c)
+        val (fRef, opRef) = Reference.daPairFeatures(line, col, c)
+        if (op != 0) aggWins += 1
+        bits(f) == bits(fRef) && op == opRef
+      })
+    }
+    assert(aggWins > 0)
+  }
+
+  test("score on encoded random tables equals the reference bit for bit (scalacheck)") {
+    val gen = for {
+      seed  <- Gen.choose(0, 100000)
+      nCols <- Gen.choose(1, 4)
+      nRows <- Gen.choose(16, 400)
+      m     <- Gen.choose(1, 3)
+    } yield {
+      val r    = new Random(seed)
+      val cols = Array.fill(nCols) { var x = 0.0; Array.fill(nRows) { x += r.nextGaussian(); x } }
+      // lines are a column, an aggregated column or an unrelated walk
+      val lines = Array.tabulate(m) { i =>
+        val src = cols(i % nCols)
+        r.nextInt(3) match {
+          case 0 => src.clone
+          case 1 => AggOp.aggregate(src, AggOp.all(r.nextInt(4)), 4)
+          case _ => var x = 0.0; Array.fill(60 + r.nextInt(300)) { x += r.nextGaussian(); x }
+        }
+      }
+      (seed.toLong, cols, lines)
+    }
+    Seq(cfg, cfg.copy(useDa = false), cfg.copy(useHcman = false)).foreach { c =>
+      check(Prop.forAll(gen) { case (tid, cols, lines) =>
+        val chart = ChartEmb(lines.map(ChartEncoder.encodeLine(_, c)), -10.0, 10.0)
+        val tab   = DatasetEncoder.encodeTable(tid, cols, c)
+        Matcher.score(chart, tab, c) == Reference.score(chart, tab, c)
+      })
+    }
+  }
+
   test("sigmoid sanity") {
     assert(Matcher.sigmoid(0.0) == 0.5)
     assert(Matcher.sigmoid(100.0) > 0.999)
     assert(Matcher.sigmoid(-100.0) < 0.001)
+  }
+}
+
+/** The SL-SAN kernel, MoE gate, LL-SAN features and head exactly as they
+  * were before the kernel was restructured for speed: a 2-D similarity
+  * matrix, each attention logit computed twice, both sides' pooled vectors
+  * recomputed on every call and `j % W.length` weight indexing. The
+  * restructured `Matcher` must reproduce it bit for bit.
+  */
+private object Reference {
+
+  private val W: Array[Double] =
+    Array(1.0, 0.8, 0.7, 0.7, 1.0, 0.9) ++ Array.fill(Features.ShapePts)(0.8)
+  private val WSum: Double = W.sum
+
+  def sim(a: Array[Double], b: Array[Double], tau: Double): Double = {
+    var d = 0.0
+    var j = 0
+    while (j < a.length) {
+      val x = a(j) - b(j)
+      d += W(j % W.length) * x * x
+      j += 1
+    }
+    math.exp(-math.sqrt(d / WSum) / tau)
+  }
+
+  def pairFeatures(
+      lSegs: Array[Array[Double]],
+      lPos: Array[Double],
+      cSegs: Array[Array[Double]],
+      cPos: Array[Double],
+      cfg: FcmConfig
+  ): Array[Double] = {
+    val nl = lSegs.length
+    val nc = cSegs.length
+    if (nl == 0 || nc == 0) return Array.fill(Matcher.PairFeatDim)(0.0)
+    val s = Array.ofDim[Double](nl, nc)
+    var j = 0
+    while (j < nl) {
+      var n = 0
+      while (n < nc) {
+        s(j)(n) = sim(lSegs(j), cSegs(n), cfg.tau)
+        n += 1
+      }
+      j += 1
+    }
+    var softAlign = 0.0
+    var bestMean  = 0.0
+    var posDev    = 0.0
+    j = 0
+    while (j < nl) {
+      // attention logits: similarity biased towards positionally close segments
+      var zMax = Double.NegativeInfinity
+      var n = 0
+      while (n < nc) {
+        val z = cfg.attnKappa * s(j)(n) - 3.0 * math.abs(lPos(j) - cPos(n))
+        if (z > zMax) zMax = z
+        n += 1
+      }
+      var den = 0.0
+      var num = 0.0
+      var best = 0.0
+      var bestN = 0
+      n = 0
+      while (n < nc) {
+        val z = cfg.attnKappa * s(j)(n) - 3.0 * math.abs(lPos(j) - cPos(n))
+        val e = math.exp(z - zMax)
+        den += e
+        num += e * s(j)(n)
+        if (s(j)(n) > best) { best = s(j)(n); bestN = n }
+        n += 1
+      }
+      softAlign += num / den
+      bestMean += best
+      posDev += math.abs(lPos(j) - cPos(bestN))
+      j += 1
+    }
+    softAlign /= nl
+    bestMean /= nl
+    val posCons = math.max(0.0, 1.0 - 2.0 * posDev / nl)
+    var coverage = 0.0
+    var n = 0
+    while (n < nc) {
+      var best = 0.0
+      j = 0
+      while (j < nl) { if (s(j)(n) > best) best = s(j)(n); j += 1 }
+      coverage += best
+      n += 1
+    }
+    coverage /= nc
+    val globalSim = sim(Features.pool(lSegs), Features.pool(cSegs), cfg.tau)
+    Array(softAlign, bestMean, coverage, posCons, globalSim)
+  }
+
+  def daPairFeatures(
+      line: LineEmb,
+      col: ColumnEmb,
+      cfg: FcmConfig
+  ): (Array[Double], Int) = {
+    val identity = pairFeatures(line.segs, line.pos, col.segs, col.pos, cfg)
+    if (!cfg.useDa || col.variants.isEmpty) return (identity, 0)
+
+    val idScore = Matcher.preScore(identity)
+    var bestOp = 0
+    var bestFeat = identity
+    var bestScore = Double.NegativeInfinity
+    var i = 0
+    while (i < col.variants.length) {
+      val v = col.variants(i)
+      val f = pairFeatures(line.segs, line.pos, v.segs, v.pos, cfg)
+      val u = Matcher.preScore(f)
+      if (u > bestScore) { bestScore = u; bestFeat = f; bestOp = v.op }
+      i += 1
+    }
+    if (bestScore > idScore + Matcher.GateMargin) (bestFeat, bestOp) else (identity, 0)
+  }
+
+  def tableFeatures(chart: ChartEmb, tab: TableEmb, cfg: FcmConfig): Array[Double] = {
+    val m  = chart.m
+    val nc = tab.cols.length
+    if (m == 0 || nc == 0) return Array.fill(cfg.featureDim)(0.0)
+    val u     = Array.ofDim[Double](m, nc)
+    val align = Array.ofDim[Double](m, nc)
+    var i = 0
+    while (i < m) {
+      var c = 0
+      while (c < nc) {
+        val (f, _) = daPairFeatures(chart.lines(i), tab.cols(c), cfg)
+        u(i)(c) = Matcher.preScore(f)
+        align(i)(c) = f(0)
+        c += 1
+      }
+      i += 1
+    }
+    val (matchW, assign) = Matching.maxWeight(u)
+    val b1 = matchW / m
+    var b2 = 0.0
+    var b3 = 0.0
+    i = 0
+    while (i < m) {
+      var best = 0.0
+      var zMax = Double.NegativeInfinity
+      var c = 0
+      while (c < nc) {
+        if (u(i)(c) > best) best = u(i)(c)
+        if (cfg.attnKappa * u(i)(c) > zMax) zMax = cfg.attnKappa * u(i)(c)
+        c += 1
+      }
+      var den = 0.0
+      var num = 0.0
+      c = 0
+      while (c < nc) {
+        val e = math.exp(cfg.attnKappa * u(i)(c) - zMax)
+        den += e
+        num += e * u(i)(c)
+        c += 1
+      }
+      b2 += best
+      b3 += num / den
+      i += 1
+    }
+    b2 /= m
+    b3 /= m
+    var b4 = 0.0
+    var c = 0
+    while (c < nc) {
+      val ov = Matcher.rangeOverlap(chart, tab.cols(c), cfg.useDa)
+      if (ov > b4) b4 = ov
+      c += 1
+    }
+    var matched = 0
+    var alignSum = 0.0
+    i = 0
+    while (i < m) {
+      if (assign(i) >= 0 && u(i)(assign(i)) > 0.25) matched += 1
+      if (assign(i) >= 0) alignSum += align(i)(assign(i))
+      i += 1
+    }
+    val b5 = matched.toDouble / m
+    val b6 = alignSum / m
+    Array(b1, b2, b3, b4, b5, b6)
+  }
+
+  def hcmanOffFeatures(chart: ChartEmb, tab: TableEmb, cfg: FcmConfig): Array[Double] = {
+    if (chart.m == 0 || tab.cols.isEmpty) return Array.fill(cfg.featureDim)(0.0)
+    val chartPool = Features.pool(chart.lines.map(_.pooled))
+    val tabPool   = Features.pool(tab.cols.map(c => Features.pool(c.segs)))
+    var b4 = 0.0
+    tab.cols.foreach { colEmb =>
+      val ov = Matcher.rangeOverlap(chart, colEmb, cfg.useDa)
+      if (ov > b4) b4 = ov
+    }
+    Array(sim(chartPool, tabPool, cfg.tau), Features.cosine(chartPool, tabPool), b4)
+  }
+
+  def score(chart: ChartEmb, tab: TableEmb, cfg: FcmConfig): Double = {
+    val x =
+      if (cfg.useHcman) tableFeatures(chart, tab, cfg) else hcmanOffFeatures(chart, tab, cfg)
+    val w = cfg.headWeights
+    var z = w(0)
+    var i = 0
+    while (i < x.length) { z += w(i + 1) * x(i); i += 1 }
+    Matcher.sigmoid(z)
   }
 }

@@ -25,7 +25,6 @@ class RasterSpec extends AnyFunSuite {
   }
 
   test("number of distinct intensities in a multi-line chart equals M") {
-    val rng = new Random(1)
     val series = Array.tabulate(4)(i => Array.tabulate(64)(k => math.sin(k / 7.0 + i) + 3 * i))
     val img = Raster.render(series, 200, 100)
     val distinct = img.pixels.filter(_ > 0f).distinct
