@@ -8,8 +8,6 @@ package repro.core
   *                  FCM-DA ablation of Table VI sets this to false
   * @param useHcman  enable the hierarchical cross-modal attention network;
   *                  the FCM-HCMAN ablation of Table V sets this to false
-  * @param tau       similarity kernel bandwidth (z-units)
-  * @param attnKappa softmax temperature of the SL-SAN / LL-SAN attention
   * @param weights   logistic head weights, length featureDim+1 (bias first);
   *                  null selects untrained defaults (useful in unit tests)
   */
@@ -18,8 +16,6 @@ final case class FcmConfig(
     p2: Int = 64,
     useDa: Boolean = true,
     useHcman: Boolean = true,
-    tau: Double = 0.35,
-    attnKappa: Double = 6.0,
     weights: Array[Double] = null
 ) extends Serializable {
 

@@ -121,11 +121,14 @@ object Features {
     out
   }
 
-  /** Gaussian-ish similarity kernel in z-units; `tau` is the bandwidth.
+  /** Bandwidth of the `sim` kernel, in z-units. */
+  val Tau = 0.35
+
+  /** Gaussian-ish similarity kernel in z-units with bandwidth `Tau`.
     * Returns a score in (0, 1], 1 for identical features. Vectors are at
     * most `Dim` long.
     */
-  def sim(a: Array[Double], b: Array[Double], tau: Double): Double = {
+  def sim(a: Array[Double], b: Array[Double]): Double = {
     var d = 0.0
     var j = 0
     while (j < a.length) {
@@ -133,7 +136,7 @@ object Features {
       d += W(j) * x * x
       j += 1
     }
-    math.exp(-math.sqrt(d / WSum) / tau)
+    math.exp(-math.sqrt(d / WSum) / Tau)
   }
 
   /** Cosine similarity; zero vectors map to 0. */

@@ -28,6 +28,9 @@ object Matcher {
 
   val PairFeatDim = 5
 
+  /** Softmax temperature of the SL-SAN and LL-SAN attention. */
+  val AttnKappa = 6.0
+
   def sigmoid(x: Double): Double = 1.0 / (1.0 + math.exp(-x))
 
   /** SL-SAN: segment-level soft alignment between one line and one column
@@ -37,6 +40,9 @@ object Matcher {
     *   2 coverage: mean best-match similarity per data segment
     *   3 positional consistency of the best matches
     *   4 global (pooled) similarity
+    *
+    * The kernel has no configurable parameter (`Features.Tau` and
+    * `AttnKappa` are constants), so `cfg` does not change the result.
     */
   def pairFeatures(
       lSegs: Array[Array[Double]],
@@ -45,7 +51,7 @@ object Matcher {
       cPos: Array[Double],
       cfg: FcmConfig
   ): Array[Double] =
-    pairFeatures(lSegs, lPos, Features.pool(lSegs), cSegs, cPos, Features.pool(cSegs), cfg)
+    pairFeatures(lSegs, lPos, Features.pool(lSegs), cSegs, cPos, Features.pool(cSegs))
 
   /** `pairFeatures` with both sides' pooled vectors supplied by the caller. */
   private def pairFeatures(
@@ -54,8 +60,7 @@ object Matcher {
       lPool: Array[Double],
       cSegs: Array[Array[Double]],
       cPos: Array[Double],
-      cPool: Array[Double],
-      cfg: FcmConfig
+      cPool: Array[Double]
   ): Array[Double] = {
     val nl = lSegs.length
     val nc = cSegs.length
@@ -65,7 +70,7 @@ object Matcher {
     while (j < nl) {
       var n = 0
       while (n < nc) {
-        s(j * nc + n) = Features.sim(lSegs(j), cSegs(n), cfg.tau)
+        s(j * nc + n) = Features.sim(lSegs(j), cSegs(n))
         n += 1
       }
       j += 1
@@ -81,7 +86,7 @@ object Matcher {
       var zMax = Double.NegativeInfinity
       var n = 0
       while (n < nc) {
-        z(n) = cfg.attnKappa * s(row + n) - 3.0 * math.abs(lPos(j) - cPos(n))
+        z(n) = AttnKappa * s(row + n) - 3.0 * math.abs(lPos(j) - cPos(n))
         if (z(n) > zMax) zMax = z(n)
         n += 1
       }
@@ -115,7 +120,7 @@ object Matcher {
       n += 1
     }
     coverage /= nc
-    val globalSim = Features.sim(lPool, cPool, cfg.tau)
+    val globalSim = Features.sim(lPool, cPool)
     Array(softAlign, bestMean, coverage, posCons, globalSim)
   }
 
@@ -146,7 +151,7 @@ object Matcher {
       col: ColumnEmb,
       cfg: FcmConfig
   ): (Array[Double], Int) = {
-    val identity = pairFeatures(line.segs, line.pos, line.pooled, col.segs, col.pos, col.pooled, cfg)
+    val identity = pairFeatures(line.segs, line.pos, line.pooled, col.segs, col.pos, col.pooled)
     if (!cfg.useDa || col.variants.isEmpty) return (identity, 0)
 
     val idScore = preScore(identity)
@@ -156,7 +161,7 @@ object Matcher {
     var i = 0
     while (i < col.variants.length) {
       val v = col.variants(i)
-      val f = pairFeatures(line.segs, line.pos, line.pooled, v.segs, v.pos, v.pooled, cfg)
+      val f = pairFeatures(line.segs, line.pos, line.pooled, v.segs, v.pos, v.pooled)
       val u = preScore(f)
       if (u > bestScore) { bestScore = u; bestFeat = f; bestOp = v.op }
       i += 1
@@ -205,14 +210,14 @@ object Matcher {
       var c = 0
       while (c < nc) {
         if (u(i)(c) > best) best = u(i)(c)
-        if (cfg.attnKappa * u(i)(c) > zMax) zMax = cfg.attnKappa * u(i)(c)
+        if (AttnKappa * u(i)(c) > zMax) zMax = AttnKappa * u(i)(c)
         c += 1
       }
       var den = 0.0
       var num = 0.0
       c = 0
       while (c < nc) {
-        val e = math.exp(cfg.attnKappa * u(i)(c) - zMax)
+        val e = math.exp(AttnKappa * u(i)(c) - zMax)
         den += e
         num += e * u(i)(c)
         c += 1
@@ -255,7 +260,7 @@ object Matcher {
       val ov = rangeOverlap(chart, colEmb, cfg.useDa)
       if (ov > b4) b4 = ov
     }
-    Array(Features.sim(chartPool, tabPool, cfg.tau), Features.cosine(chartPool, tabPool), b4)
+    Array(Features.sim(chartPool, tabPool), Features.cosine(chartPool, tabPool), b4)
   }
 
   /** Chart-table feature vector of the configured variant. */

@@ -4,85 +4,81 @@ package repro.core
   * relevance): each chart data series is matched to at most one distinct
   * column so that the summed edge weight is maximised.
   *
-  * Sizes here are tiny (M ≤ ~10 lines, ≤ ~16 columns), so an exact bitmask
-  * DP over the column set is used; a greedy fallback covers wider tables.
+  * Solved exactly by the Hungarian method with shortest augmenting paths
+  * (Kuhn 1955; Jonker & Volgenant 1987) in O(n²·m) time for n rows and
+  * m = max(rows, columns), at any table width.
   */
 object Matching {
 
   /** Returns (total weight, assignment) where `assignment(i)` is the column
     * matched to row `i` or -1 if the row is left unmatched. Rows may stay
-    * unmatched at weight 0 (lines than columns is legal input).
+    * unmatched at weight 0 (more lines than columns is legal input).
+    *
+    * Only weights `> 0` are edges: a negative, zero or NaN weight is never
+    * reported in the assignment. The total is `0.0 + w(i)(assign(i))`
+    * summed over the matched rows in row order.
     */
   def maxWeight(w: Array[Array[Double]]): (Double, Array[Int]) = {
     val nR = w.length
-    if (nR == 0) return (0.0, Array.empty[Int])
-    val nC = w(0).length
-    if (nC == 0) return (0.0, Array.fill(nR)(-1))
-    if (nC > 16) return greedy(w)
-    val full = 1 << nC
-    // dp(i)(mask) = best weight over rows 0..i-1 with columns `mask` used.
-    val dp     = Array.fill(nR + 1, full)(Double.NegativeInfinity)
-    val choice = Array.fill(nR + 1, full)(-2) // -1 = skip row, >=0 = column
-    dp(0)(0) = 0.0
-    var i = 0
-    while (i < nR) {
-      var mask = 0
-      while (mask < full) {
-        val cur = dp(i)(mask)
-        if (cur != Double.NegativeInfinity) {
-          // skip row i
-          if (cur > dp(i + 1)(mask)) { dp(i + 1)(mask) = cur; choice(i + 1)(mask) = -1 }
-          var c = 0
-          while (c < nC) {
-            if ((mask & (1 << c)) == 0) {
-              val nm = mask | (1 << c)
-              val v  = cur + w(i)(c)
-              if (v > dp(i + 1)(nm)) { dp(i + 1)(nm) = v; choice(i + 1)(nm) = c }
-            }
-            c += 1
+    val nC = if (nR == 0) 0 else w(0).length
+    // Columns nC until m are dummies: a row assigned to one stays unmatched.
+    val m = math.max(nR, nC)
+    def cost(i: Int, j: Int): Double =
+      if (j < nC && w(i)(j) > 0) -w(i)(j) else 0.0
+    // 1-based potentials; p(j) is the row (1-based, 0 = none) on column j,
+    // and column 0 is the virtual root of each augmenting search.
+    val u    = new Array[Double](nR + 1)
+    val v    = new Array[Double](m + 1)
+    val p    = new Array[Int](m + 1)
+    val way  = new Array[Int](m + 1)
+    val minv = new Array[Double](m + 1)
+    val used = new Array[Boolean](m + 1)
+    var i = 1
+    while (i <= nR) {
+      p(0) = i
+      java.util.Arrays.fill(minv, Double.PositiveInfinity)
+      java.util.Arrays.fill(used, false)
+      var j0 = 0
+      while (p(j0) != 0) {
+        used(j0) = true
+        val i0 = p(j0)
+        var delta = Double.PositiveInfinity
+        var j1 = 0
+        var j = 1
+        while (j <= m) {
+          if (!used(j)) {
+            val cur = cost(i0 - 1, j - 1) - u(i0) - v(j)
+            if (cur < minv(j)) { minv(j) = cur; way(j) = j0 }
+            if (minv(j) < delta) { delta = minv(j); j1 = j }
           }
+          j += 1
         }
-        mask += 1
+        j = 0
+        while (j <= m) {
+          if (used(j)) { u(p(j)) += delta; v(j) -= delta }
+          else minv(j) -= delta
+          j += 1
+        }
+        j0 = j1
+      }
+      while (j0 != 0) {
+        val j1 = way(j0)
+        p(j0) = p(j1)
+        j0 = j1
       }
       i += 1
     }
-    var bestMask = 0
-    var best     = Double.NegativeInfinity
-    var mask = 0
-    while (mask < full) {
-      if (dp(nR)(mask) > best) { best = dp(nR)(mask); bestMask = mask }
-      mask += 1
-    }
     val assign = Array.fill(nR)(-1)
-    var r = nR
-    var mcur = bestMask
-    while (r > 0) {
-      val ch = choice(r)(mcur)
-      if (ch >= 0) { assign(r - 1) = ch; mcur &= ~(1 << ch) }
-      r -= 1
+    var j = 1
+    while (j <= nC) {
+      if (p(j) != 0 && w(p(j) - 1)(j - 1) > 0) assign(p(j) - 1) = j - 1
+      j += 1
     }
-    (best, assign)
-  }
-
-  /** Greedy fallback for wide tables: repeatedly take the globally best
-    * remaining edge. Not optimal but within the usual 1/2-approximation.
-    */
-  def greedy(w: Array[Array[Double]]): (Double, Array[Int]) = {
-    val nR = w.length
-    val nC = if (nR == 0) 0 else w(0).length
-    val assign   = Array.fill(nR)(-1)
-    val usedCols = Array.fill(nC)(false)
-    val usedRows = Array.fill(nR)(false)
     var total = 0.0
-    var k = 0
-    val edges = (for { i <- 0 until nR; j <- 0 until nC } yield (w(i)(j), i, j))
-      .sortBy(-_._1)
-    while (k < edges.length) {
-      val (v, i, j) = edges(k)
-      if (!usedRows(i) && !usedCols(j) && v > 0) {
-        usedRows(i) = true; usedCols(j) = true; assign(i) = j; total += v
-      }
-      k += 1
+    i = 0
+    while (i < nR) {
+      if (assign(i) >= 0) total += w(i)(assign(i))
+      i += 1
     }
     (total, assign)
   }

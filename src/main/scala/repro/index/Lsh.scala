@@ -33,19 +33,13 @@ final class Lsh(val dim: Int, val bits: Int, seed: Long) extends Serializable {
     c
   }
 
-  /** Multi-probe codes: `c` plus every code within `flips` bit flips. */
+  /** Multi-probe codes: `c` plus every code within `flips` bit flips,
+    * nearest first.
+    */
   def probes(c: Int, flips: Int): Seq[Int] = {
-    if (flips <= 0) Seq(c)
-    else {
-      val one = (0 until bits).map(b => c ^ (1 << b))
-      if (flips == 1) c +: one
-      else {
-        val two = for {
-          b1 <- 0 until bits
-          b2 <- (b1 + 1) until bits
-        } yield c ^ (1 << b1) ^ (1 << b2)
-        (c +: one) ++ two
-      }
+    require(flips >= 0, s"flips must be >= 0, got $flips")
+    (0 to math.min(flips, bits)).flatMap { k =>
+      (0 until bits).combinations(k).map(_.foldLeft(c)((x, b) => x ^ (1 << b)))
     }
   }
 }

@@ -79,17 +79,11 @@ class FeaturesSpec extends AnyFunSuite {
 
   test("sim is 1 for identical features and decreases with distance") {
     val a = Array(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
-    assert(math.abs(Features.sim(a, a, 0.35) - 1.0) < 1e-12)
+    assert(math.abs(Features.sim(a, a) - 1.0) < 1e-12)
     val near = a.map(_ + 0.05)
     val far  = a.map(_ + 2.0)
-    assert(Features.sim(a, near, 0.35) > Features.sim(a, far, 0.35))
-    assert(Features.sim(a, far, 0.35) > 0.0)
-  }
-
-  test("larger tau is more forgiving") {
-    val a = Array.fill(6)(0.0)
-    val b = Array.fill(6)(1.0)
-    assert(Features.sim(a, b, 1.0) > Features.sim(a, b, 0.1))
+    assert(Features.sim(a, near) > Features.sim(a, far))
+    assert(Features.sim(a, far) > 0.0)
   }
 
   test("cosine basics") {

@@ -1,7 +1,8 @@
 package repro.core
 
-import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropCheck.check
 import repro.vis.{AggOp, Extractor, Raster}
 
 import scala.util.Random
@@ -154,11 +155,6 @@ class MatcherSpec extends AnyFunSuite {
     }
   }
 
-  private def check(p: Prop): Unit = {
-    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60), p)
-    assert(res.passed, res.status.toString)
-  }
-
   private def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
 
   private val segsGen: Gen[(Array[Array[Double]], Array[Double])] = for {
@@ -180,7 +176,7 @@ class MatcherSpec extends AnyFunSuite {
     check(Prop.forAll(pairGen) { case ((lSegs, lPos), (cSegs, cPos)) =>
       bits(Matcher.pairFeatures(lSegs, lPos, cSegs, cPos, cfg)) ==
         bits(Reference.pairFeatures(lSegs, lPos, cSegs, cPos, cfg))
-    })
+    }, 60)
   }
 
   test("daPairFeatures equals the reference MoE bit for bit (scalacheck)") {
@@ -205,7 +201,7 @@ class MatcherSpec extends AnyFunSuite {
         val (fRef, opRef) = Reference.daPairFeatures(line, col, c)
         if (op != 0) aggWins += 1
         bits(f) == bits(fRef) && op == opRef
-      })
+      }, 60)
     }
     assert(aggWins > 0)
   }
@@ -235,7 +231,7 @@ class MatcherSpec extends AnyFunSuite {
         val chart = ChartEmb(lines.map(ChartEncoder.encodeLine(_, c)), -10.0, 10.0)
         val tab   = DatasetEncoder.encodeTable(tid, cols, c)
         Matcher.score(chart, tab, c) == Reference.score(chart, tab, c)
-      })
+      }, 60)
     }
   }
 
@@ -249,8 +245,10 @@ class MatcherSpec extends AnyFunSuite {
 /** The SL-SAN kernel, MoE gate, LL-SAN features and head exactly as they
   * were before the kernel was restructured for speed: a 2-D similarity
   * matrix, each attention logit computed twice, both sides' pooled vectors
-  * recomputed on every call and `j % W.length` weight indexing. The
-  * restructured `Matcher` must reproduce it bit for bit.
+  * recomputed on every call, `j % W.length` weight indexing, the bitmask DP
+  * assignment (`DpMatching`), and the kernel bandwidth 0.35 and attention
+  * temperature 6.0 written out. The restructured `Matcher` must reproduce it
+  * bit for bit.
   */
 private object Reference {
 
@@ -258,7 +256,7 @@ private object Reference {
     Array(1.0, 0.8, 0.7, 0.7, 1.0, 0.9) ++ Array.fill(Features.ShapePts)(0.8)
   private val WSum: Double = W.sum
 
-  def sim(a: Array[Double], b: Array[Double], tau: Double): Double = {
+  def sim(a: Array[Double], b: Array[Double]): Double = {
     var d = 0.0
     var j = 0
     while (j < a.length) {
@@ -266,7 +264,7 @@ private object Reference {
       d += W(j % W.length) * x * x
       j += 1
     }
-    math.exp(-math.sqrt(d / WSum) / tau)
+    math.exp(-math.sqrt(d / WSum) / 0.35)
   }
 
   def pairFeatures(
@@ -284,7 +282,7 @@ private object Reference {
     while (j < nl) {
       var n = 0
       while (n < nc) {
-        s(j)(n) = sim(lSegs(j), cSegs(n), cfg.tau)
+        s(j)(n) = sim(lSegs(j), cSegs(n))
         n += 1
       }
       j += 1
@@ -298,7 +296,7 @@ private object Reference {
       var zMax = Double.NegativeInfinity
       var n = 0
       while (n < nc) {
-        val z = cfg.attnKappa * s(j)(n) - 3.0 * math.abs(lPos(j) - cPos(n))
+        val z = 6.0 * s(j)(n) - 3.0 * math.abs(lPos(j) - cPos(n))
         if (z > zMax) zMax = z
         n += 1
       }
@@ -308,7 +306,7 @@ private object Reference {
       var bestN = 0
       n = 0
       while (n < nc) {
-        val z = cfg.attnKappa * s(j)(n) - 3.0 * math.abs(lPos(j) - cPos(n))
+        val z = 6.0 * s(j)(n) - 3.0 * math.abs(lPos(j) - cPos(n))
         val e = math.exp(z - zMax)
         den += e
         num += e * s(j)(n)
@@ -333,7 +331,7 @@ private object Reference {
       n += 1
     }
     coverage /= nc
-    val globalSim = sim(Features.pool(lSegs), Features.pool(cSegs), cfg.tau)
+    val globalSim = sim(Features.pool(lSegs), Features.pool(cSegs))
     Array(softAlign, bestMean, coverage, posCons, globalSim)
   }
 
@@ -377,7 +375,7 @@ private object Reference {
       }
       i += 1
     }
-    val (matchW, assign) = Matching.maxWeight(u)
+    val (matchW, assign) = DpMatching.maxWeight(u)
     val b1 = matchW / m
     var b2 = 0.0
     var b3 = 0.0
@@ -388,14 +386,14 @@ private object Reference {
       var c = 0
       while (c < nc) {
         if (u(i)(c) > best) best = u(i)(c)
-        if (cfg.attnKappa * u(i)(c) > zMax) zMax = cfg.attnKappa * u(i)(c)
+        if (6.0 * u(i)(c) > zMax) zMax = 6.0 * u(i)(c)
         c += 1
       }
       var den = 0.0
       var num = 0.0
       c = 0
       while (c < nc) {
-        val e = math.exp(cfg.attnKappa * u(i)(c) - zMax)
+        val e = math.exp(6.0 * u(i)(c) - zMax)
         den += e
         num += e * u(i)(c)
         c += 1
@@ -435,7 +433,7 @@ private object Reference {
       val ov = Matcher.rangeOverlap(chart, colEmb, cfg.useDa)
       if (ov > b4) b4 = ov
     }
-    Array(sim(chartPool, tabPool, cfg.tau), Features.cosine(chartPool, tabPool), b4)
+    Array(sim(chartPool, tabPool), Features.cosine(chartPool, tabPool), b4)
   }
 
   def score(chart: ChartEmb, tab: TableEmb, cfg: FcmConfig): Double = {

@@ -1,14 +1,10 @@
 package repro.index
 
-import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropCheck.check
 
 class IntervalTreeSpec extends AnyFunSuite {
-
-  private def check(p: Prop): Unit = {
-    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(80), p)
-    assert(res.passed, res.status.toString)
-  }
 
   private def brute(iv: Seq[Interval], lo: Double, hi: Double): Set[Long] =
     iv.filter(_.overlaps(lo, hi)).map(_.id).toSet
@@ -53,7 +49,7 @@ class IntervalTreeSpec extends AnyFunSuite {
     } yield (ivs, qa, qa + ql)
     check(Prop.forAll(caseGen) { case (ivs, lo, hi) =>
       IntervalTree.build(ivs).query(lo, hi) == brute(ivs, lo, hi)
-    })
+    }, 80)
   }
 
   test("large balanced build answers quickly and correctly") {

@@ -74,6 +74,18 @@ class LshSpec extends AnyFunSuite {
     assert(ps.distinct.length == ps.length)
   }
 
+  test("probes are the codes within flips bit flips; negative flips are rejected") {
+    for (bits <- 1 to 8; f <- 0 to 3) {
+      val lsh = new Lsh(dim, bits, seed = 11)
+      val c   = new Random(bits * 10 + f).nextInt(1 << bits)
+      val ps  = lsh.probes(c, f)
+      assert(ps.head == c)
+      assert(ps.distinct.length == ps.length)
+      assert(ps.toSet == (0 until (1 << bits)).filter(x => Integer.bitCount(x ^ c) <= f).toSet, (bits, f))
+    }
+    intercept[IllegalArgumentException](new Lsh(dim, 4, seed = 12).probes(0, -1))
+  }
+
   test("bit width is validated") {
     intercept[IllegalArgumentException](new Lsh(dim, 0, 1))
     intercept[IllegalArgumentException](new Lsh(dim, 31, 1))
