@@ -16,36 +16,51 @@ import repro.vis.AggOp
   */
 object DatasetEncoder {
 
-  /** Encode one column under `cfg`. */
-  def encodeColumn(colIdx: Int, values: Array[Double], cfg: FcmConfig): ColumnEmb = {
-    var mn = Double.PositiveInfinity
-    var mx = Double.NegativeInfinity
-    var sm = 0.0
-    var i = 0
-    while (i < values.length) {
-      val v = values(i)
-      if (v < mn) mn = v
-      if (v > mx) mx = v
-      sm += v
+  /** Encode one column under `cfg`. Only the finite cells are encoded: a
+    * column with no finite cell encodes as an empty column.
+    *
+    * A variant whose z-normalised series equals, bit for bit, that of an
+    * earlier variant at the same window is not materialised (in practice
+    * `sum`, which is `avg` scaled by a power of two). Equal series give
+    * equal pair features, and the MoE gate keeps the first of equal scores,
+    * so the dropped variant could never win.
+    */
+  def encodeColumn(colIdx: Int, column: Array[Double], cfg: FcmConfig): ColumnEmb = {
+    var mn     = Double.PositiveInfinity
+    var mx     = Double.NegativeInfinity
+    var sm     = 0.0
+    var finite = 0
+    var i      = 0
+    while (i < column.length) {
+      val v = column(i)
+      if (java.lang.Double.isFinite(v)) {
+        if (v < mn) mn = v
+        if (v > mx) mx = v
+        sm += v
+        finite += 1
+      }
       i += 1
     }
+    val values = if (finite == column.length) column else column.filter(java.lang.Double.isFinite)
     val z = Features.znorm(values)
     val (segs, pos) = Features.segmentAll(z, cfg.p2)
-    val variants =
-      for {
-        op <- if (cfg.useDa) AggOp.all else Array.empty[AggOp]
-        w  <- cfg.daWindows(values.length)
-      } yield {
-        val agg = AggOp.aggregate(values, op, w)
-        val za  = Features.znorm(agg)
+    val windows  = cfg.daWindows(values.length)
+    val seen     = Array.fill(windows.length)(List.empty[Array[Double]]) // materialised views per window
+    val variants = Array.newBuilder[DaVariant]
+    for (op <- AggOp.all; k <- windows.indices) {
+      val w  = windows(k)
+      val za = Features.znorm(AggOp.aggregate(values, op, w))
+      if (!seen(k).exists(java.util.Arrays.equals(_, za))) {
+        seen(k) ::= za
         // Segment the aggregated series so each segment spans the same
         // x-fraction of the column as a base segment does (p2 raw cells
         // aggregate to p2/w points), keeping SL-SAN granularities aligned.
         val segLen = math.max(2, cfg.p2 / w)
         val (s, p) = Features.segmentAll(za, segLen)
-        DaVariant(op.id, w, s, p)
+        variants += DaVariant(op.id, w, s, p)
       }
-    ColumnEmb(colIdx, values.length, mn, mx, sm, segs, pos, variants)
+    }
+    ColumnEmb(colIdx, values.length, mn, mx, sm, segs, pos, variants.result())
   }
 
   /** Encode a whole table (all numeric columns). */

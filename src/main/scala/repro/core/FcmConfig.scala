@@ -31,6 +31,12 @@ final case class FcmConfig(
     Iterator.iterate(4)(_ * 2).takeWhile(_ <= cap).toArray
   }
 
+  /** Names the table encoding this config gives: `DatasetEncoder` reads
+    * `p2` and, through `daWindows`, `useDa`, and no other field. Configs
+    * with equal keys encode every table identically.
+    */
+  def encodingKey: String = s"fcm(p2=$p2, useDa=$useDa)"
+
   /** Chart-table feature dimensionality of this variant's head. */
   def featureDim: Int = if (useHcman) 6 else 3
 

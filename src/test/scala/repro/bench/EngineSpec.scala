@@ -1,5 +1,6 @@
 package repro.bench
 
+import org.apache.spark.util.LongAccumulator
 import repro.SparkSpec
 import repro.baselines.{Cml, DeLn, LineNet, Qetch}
 import repro.core._
@@ -66,12 +67,13 @@ class EngineSpec extends SparkSpec {
     assert(ranks(q.qid).head == q.sourceTable)
   }
 
-  test("rank equals a driver-side ranking of the repository for every method") {
+  /** Every method's scorer with a driver-side reference score. */
+  private def methods: Seq[(String, Scorer[_, _], (QueryPack, BenchTable) => Double)] = {
     val w = exp.cfg.chartW
     val h = exp.cfg.chartH
     def fcm(cfg: FcmConfig): (QueryPack, BenchTable) => Double = (q, t) =>
       Matcher.score(ChartEncoder.encode(q.extracted, cfg), DatasetEncoder.encodeTable(t.id, t.cols, cfg), cfg)
-    val methods: Seq[(String, Scorer[_, _], (QueryPack, BenchTable) => Double)] = Seq(
+    Seq(
       ("FCM", Scorer.fcm(FcmConfig()), fcm(FcmConfig())),
       ("FCM-DA", Scorer.fcm(FcmConfig(useDa = false)), fcm(FcmConfig(useDa = false))),
       ("FCM-HCMAN", Scorer.fcm(FcmConfig(useHcman = false)), fcm(FcmConfig(useHcman = false))),
@@ -81,17 +83,108 @@ class EngineSpec extends SparkSpec {
       ("Opt-LN", Scorer.optLn(w, h), (q, t) => LineNet.sim(q.lineNetVec, DeLn.optVec(t.cols, t.specCols, w, h))),
       ("GT", Scorer.gt, (q, t) => Relevance.relPrepared(q.underlyingPrepared, t.cols.map(Relevance.prep)))
     )
+  }
+
+  /** Every query's ranking of the whole repository under `reference`, by (−score, tid). */
+  private def driverRanks(reference: (QueryPack, BenchTable) => Double): Map[Int, Seq[Long]] =
+    exp.bench.queries.map { q =>
+      q.qid -> exp.bench.repo.map(t => (reference(q, t), t.id)).sortBy { case (s, tid) => (-s, tid) }.map(_._2).toSeq
+    }.toMap
+
+  test("rank equals a driver-side ranking of the repository for every method") {
     val queries = exp.bench.queries
     methods.foreach { case (name, scorer, reference) =>
       val (ranks, _) = Engine.rank(spark, exp.tablesDs, queries, scorer)
       assert(ranks.keySet == queries.map(_.qid).toSet, name)
-      queries.foreach { q =>
-        val expected = exp.bench.repo
-          .map(t => (reference(q, t), t.id))
-          .sortBy { case (s, tid) => (-s, tid) }
-          .map(_._2)
-        assert(ranks(q.qid).toSeq == expected.toSeq, s"$name, query ${q.qid}")
+      driverRanks(reference).foreach { case (qid, expected) =>
+        assert(ranks(qid).toSeq == expected, s"$name, query $qid")
       }
     }
+  }
+
+  test("a restricted first pass over a fresh Dataset, then a full pass, ranks like the driver for every method") {
+    val fresh    = exp.tablesDs.filter(_ => true).persist()
+    val queries  = exp.bench.queries
+    val restrict = Map(queries(0).qid -> exp.bench.repo.take(5).map(_.id).toSet)
+    methods.foreach { case (name, scorer, reference) =>
+      val (restricted, _) = Engine.rank(spark, fresh, queries.take(1), scorer, restrict)
+      assert(restricted(queries(0).qid).toSet == restrict(queries(0).qid), name)
+      val (full, _) = Engine.rank(spark, fresh, queries, scorer)
+      assert(full.keySet == queries.map(_.qid).toSet, name)
+      driverRanks(reference).foreach { case (qid, expected) =>
+        assert(full(qid).toSeq == expected, s"$name, query $qid")
+      }
+    }
+    fresh.unpersist(blocking = true)
+  }
+
+  /** A scorer like `Scorer.cml` whose `table` counts its calls in `count`. */
+  private def counting(name: String, count: LongAccumulator) = Scorer[Array[Double], Array[Double]](
+    name,
+    _.cmlVec,
+    t => { count.add(1); Cml.tableVec(t.cols) },
+    Cml.score
+  )
+
+  test("a scorer's table encoding runs once per table across passes over one Dataset") {
+    val encodedCount = spark.sparkContext.longAccumulator("tables encoded")
+    val counting     = this.counting("counting cml", encodedCount)
+    val queries  = exp.bench.queries
+    val restrict = Map(queries(0).qid -> exp.bench.repo.take(3).map(_.id).toSet)
+    val (restricted, _) = Engine.rank(spark, exp.tablesDs, queries.take(1), counting, restrict)
+    val (first, _)      = Engine.rank(spark, exp.tablesDs, queries, counting)
+    val (second, _)     = Engine.rank(spark, exp.tablesDs, queries, counting)
+    assert(encodedCount.value == exp.bench.repo.length)
+    assert(restricted(queries(0).qid).length == 3)
+    val (cml, _) = Engine.rank(spark, exp.tablesDs, queries, Scorer.cml)
+    Seq(first, second).foreach(ranks => cml.foreach { case (qid, r) => assert(ranks(qid).toSeq == r.toSeq) })
+    // another repository Dataset has encodings of its own
+    val even = exp.tablesDs.filter(_.id % 2 == 0).persist()
+    val (evenRanks, _) = Engine.rank(spark, even, queries, counting)
+    Engine.rank(spark, even, queries, counting)
+    val evenIds = exp.bench.repo.map(_.id).filter(_ % 2 == 0)
+    assert(encodedCount.value == exp.bench.repo.length + evenIds.length)
+    evenRanks.foreach { case (qid, r) => assert(r.toSeq == cml(qid).filter(_ % 2 == 0).toSeq) }
+    even.unpersist(blocking = true)
+  }
+
+  test("encodings are kept only while their Dataset is persisted") {
+    val encodedCount = spark.sparkContext.longAccumulator("tables encoded")
+    val counting     = this.counting("counting cml, persisted or not", encodedCount)
+    def cachedEncodings =
+      spark.sparkContext.getPersistentRDDs.values.count(_.name == s"encoded repository: ${counting.encoding}")
+    val queries = exp.bench.queries
+    val odd     = exp.tablesDs.filter(_.id % 2 == 1).persist()
+    val oddIds  = exp.bench.repo.map(_.id).filter(_ % 2 == 1)
+    val (ref, _) = Engine.rank(spark, odd, queries, counting)
+    Engine.rank(spark, exp.tablesDs, queries, counting)
+    assert(cachedEncodings == 2)
+    assert(encodedCount.value == oddIds.length + exp.bench.repo.length)
+    // the next pass after `unpersist` releases the Dataset's encodings, and
+    // a Dataset that is not persisted is encoded by every pass
+    odd.unpersist(blocking = true)
+    val (first, _)  = Engine.rank(spark, odd, queries, counting)
+    val (second, _) = Engine.rank(spark, odd, queries, counting)
+    assert(cachedEncodings == 1)
+    assert(encodedCount.value == 3 * oddIds.length + exp.bench.repo.length)
+    Seq(first, second).foreach(ranks => ref.foreach { case (qid, r) => assert(ranks(qid).toSeq == r.toSeq) })
+  }
+
+  test("FCM encodings depend on p2 and useDa only, and no two methods share an encoding") {
+    val base = FcmConfig()
+    val same = Seq(
+      base.withWeights(Array.fill(7)(0.5)),
+      base.copy(p1 = 15),
+      base.copy(useHcman = false),
+      base.copy(useHcman = false, weights = Array.fill(4)(1.0))
+    )
+    same.foreach(c => assert(Scorer.fcm(c).encoding == Scorer.fcm(base).encoding, c))
+    Seq(base.copy(p2 = 32), base.copy(useDa = false), base.copy(p2 = 32, useDa = false)).foreach { c =>
+      assert(Scorer.fcm(c).encoding != Scorer.fcm(base).encoding, c)
+    }
+    val encodings = methods.filterNot(_._1 == "FCM-HCMAN").map(_._2.encoding)
+    assert(encodings.distinct.length == encodings.length, encodings)
+    assert(Scorer.deln(480, 160).encoding != Scorer.deln(960, 240).encoding)
+    assert(Scorer.optLn(480, 160).encoding != Scorer.optLn(960, 240).encoding)
   }
 }

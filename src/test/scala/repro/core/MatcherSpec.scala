@@ -155,6 +155,23 @@ class MatcherSpec extends AnyFunSuite {
     }
   }
 
+  test("non-finite cells are left out: the score is finite and equals the table without them") {
+    val clean = Array(walk(300, 23), walk(260, 24))
+    val dirty = Array(
+      clean(0).patch(5, Seq(Double.NaN), 0).patch(100, Seq(Double.PositiveInfinity), 0) :+ Double.NegativeInfinity,
+      Double.NaN +: clean(1).patch(130, Seq(Double.NaN, Double.NegativeInfinity), 0)
+    )
+    val allNonFinite = Array(Array(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity))
+    Seq(cfg, cfg.copy(useDa = false), cfg.copy(useHcman = false)).foreach { c =>
+      val chart = chartOf(Array(clean(0)), c)
+      val s     = Matcher.score(chart, DatasetEncoder.encodeTable(1L, dirty, c), c)
+      assert(java.lang.Double.isFinite(s), c)
+      assert(bits(Array(s)) == bits(Array(Matcher.score(chart, DatasetEncoder.encodeTable(1L, clean, c), c))), c)
+      // a column without a finite cell is an empty column
+      assert(Matcher.score(chart, DatasetEncoder.encodeTable(2L, allNonFinite, c), c) == 0.0, c)
+    }
+  }
+
   private def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
 
   private val segsGen: Gen[(Array[Array[Double]], Array[Double])] = for {
@@ -235,6 +252,58 @@ class MatcherSpec extends AnyFunSuite {
     }
   }
 
+  test("dropping repeated DA views keeps daPairFeatures and score bit-identical to all 20 variants (scalacheck)") {
+    // columns of every kind the repeat test must get right: random walks,
+    // constant and near-constant columns (sd near 1e-12 * w, where the avg
+    // view is flat but the sum view is not), subnormal magnitudes (avg
+    // rounds, so sum is no longer avg scaled) and near-overflow magnitudes
+    val colGen = for {
+      seed  <- Gen.choose(0, 100000)
+      nRows <- Gen.choose(16, 700)
+      kind  <- Gen.choose(0, 5)
+    } yield {
+      val r    = new Random(seed)
+      val walk = { var x = 0.0; Array.fill(nRows) { x += r.nextGaussian(); x } }
+      kind match {
+        case 0 => walk
+        case 1 => Array.fill(nRows)(r.nextGaussian() * 100)
+        case 2 => Array.fill(nRows)(walk(0))
+        case 3 => Array.tabulate(nRows)(i => 3.0 + walk(i) * math.pow(2.0, -42 - r.nextInt(8)))
+        case 4 => walk.map(_ * 1e-312)
+        case _ => walk.map(_ * math.pow(10.0, 290 + r.nextInt(16)))
+      }
+    }
+    val gen = for {
+      cols <- Gen.listOfN(2, colGen)
+      m    <- Gen.choose(1, 3)
+      ws   <- Gen.listOfN(m, Gen.oneOf(1, 4, 8, 16, 32))
+      ops  <- Gen.listOfN(m, Gen.choose(0, 3))
+    } yield {
+      val lines = ws.zip(ops).zipWithIndex.map { case ((w, op), i) =>
+        val src = cols(i % 2)
+        if (w == 1 || src.length < 4 * w) src else AggOp.aggregate(src, AggOp.all(op), w)
+      }
+      (cols.toArray, lines.toArray)
+    }
+    var dropped = 0
+    var sumKept = 0
+    check(Prop.forAll(gen) { case (cols, lines) =>
+      val chart = ChartEmb(lines.map(ChartEncoder.encodeLine(_, cfg)), -10.0, 10.0)
+      val tab   = DatasetEncoder.encodeTable(7L, cols, cfg)
+      val ref   = Reference.encodeTable(7L, cols, cfg)
+      dropped += ref.cols.map(_.variants.length).sum - tab.cols.map(_.variants.length).sum
+      sumKept += tab.cols.map(_.variants.count(_.op == AggOp.Sum.id)).sum
+      val pairs = for (line <- chart.lines; c <- tab.cols.indices) yield {
+        val (f, op)       = Matcher.daPairFeatures(line, tab.cols(c), cfg)
+        val (fRef, opRef) = Matcher.daPairFeatures(line, ref.cols(c), cfg)
+        bits(f) == bits(fRef) && op == opRef
+      }
+      pairs.forall(identity) &&
+        bits(Array(Matcher.score(chart, tab, cfg))) == bits(Array(Matcher.score(chart, ref, cfg)))
+    }, 80)
+    assert(dropped > 0 && sumKept > 0, s"dropped $dropped, sum kept $sumKept")
+  }
+
   test("sigmoid sanity") {
     assert(Matcher.sigmoid(0.0) == 0.5)
     assert(Matcher.sigmoid(100.0) > 0.999)
@@ -242,8 +311,9 @@ class MatcherSpec extends AnyFunSuite {
   }
 }
 
-/** The SL-SAN kernel, MoE gate, LL-SAN features and head exactly as they
-  * were before the kernel was restructured for speed: a 2-D similarity
+/** The dataset encoder before repeated DA views were dropped, and the
+  * SL-SAN kernel, MoE gate, LL-SAN features and head exactly as they were
+  * before the kernel was restructured for speed: a 2-D similarity
   * matrix, each attention logit computed twice, both sides' pooled vectors
   * recomputed on every call, `j % W.length` weight indexing, the bitmask DP
   * assignment (`DpMatching`), and the kernel bandwidth 0.35 and attention
@@ -251,6 +321,40 @@ class MatcherSpec extends AnyFunSuite {
   * bit for bit.
   */
 private object Reference {
+
+  /** The dataset encoder before repeated DA views were dropped: every
+    * operator at every window, all cells encoded.
+    */
+  def encodeColumn(colIdx: Int, values: Array[Double], cfg: FcmConfig): ColumnEmb = {
+    var mn = Double.PositiveInfinity
+    var mx = Double.NegativeInfinity
+    var sm = 0.0
+    var i = 0
+    while (i < values.length) {
+      val v = values(i)
+      if (v < mn) mn = v
+      if (v > mx) mx = v
+      sm += v
+      i += 1
+    }
+    val z = Features.znorm(values)
+    val (segs, pos) = Features.segmentAll(z, cfg.p2)
+    val variants =
+      for {
+        op <- if (cfg.useDa) AggOp.all else Array.empty[AggOp]
+        w  <- cfg.daWindows(values.length)
+      } yield {
+        val agg = AggOp.aggregate(values, op, w)
+        val za  = Features.znorm(agg)
+        val segLen = math.max(2, cfg.p2 / w)
+        val (s, p) = Features.segmentAll(za, segLen)
+        DaVariant(op.id, w, s, p)
+      }
+    ColumnEmb(colIdx, values.length, mn, mx, sm, segs, pos, variants)
+  }
+
+  def encodeTable(tableId: Long, cols: Array[Array[Double]], cfg: FcmConfig): TableEmb =
+    TableEmb(tableId, cols.zipWithIndex.map { case (c, i) => encodeColumn(i, c, cfg) })
 
   private val W: Array[Double] =
     Array(1.0, 0.8, 0.7, 0.7, 1.0, 0.9) ++ Array.fill(Features.ShapePts)(0.8)
