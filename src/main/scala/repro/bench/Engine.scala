@@ -1,5 +1,6 @@
 package repro.bench
 
+import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.storage.StorageLevel
@@ -12,10 +13,10 @@ import scala.collection.mutable
 final case class Scored(qid: Int, tid: Long, score: Double)
 
 /** One retrieval method as the three steps of a scoring pass: `query`
-  * prepares a query on the driver (the result is broadcast), `table`
-  * encodes one repository table inside the executors, and `score` scores
-  * one (query, table) pair. Scorers capture only plain values, so they
-  * serialise into the pass's closure.
+  * prepares a query on the driver (the result travels in the pass's task
+  * closure), `table` encodes one repository table inside the executors, and
+  * `score` scores one (query, table) pair. Scorers capture only plain
+  * values, so they serialise into the pass's closure.
   *
   * `encoding` names what `table` computes: two scorers with equal
   * encodings must encode every table identically, because `Engine.rank`
@@ -66,19 +67,28 @@ object Scorer {
 /** Distributed scan + similarity-match dataflow (DESIGN.md §3).
   *
   * The repository is a cached `Dataset[BenchTable]`; every retrieval method
-  * is one RDD job that scores each encoded table against the broadcast
-  * query representations, emitting `(qid, tid, score)` rows that are
-  * collected and ranked per query. Index strategies restrict a pass through
-  * a broadcast candidate map.
+  * is one Spark job that scores each encoded table against the query
+  * representations, emitting `(qid, tid, score)` rows that are collected
+  * and ranked per query. The query representations and an index strategy's
+  * candidate map travel in the task closure, which Spark serialises once
+  * per job into the task binary it broadcasts itself. The job is
+  * `SparkContext.runJob` on the encoded RDD, not `collect()` on an RDD
+  * derived from it: `collect()` and `flatMap` each run Spark's closure
+  * cleaner, which parses the whole `RDD` or `SparkContext` class on every
+  * call, and that was most of an interactive query's fixed cost.
   *
   * The dataset side runs once, as the paper's offline index does: the first
   * `rank` over a persisted repository `Dataset` instance with a given
-  * `Scorer.encoding` encodes every table into a persisted RDD, and later
-  * passes with that encoding read it. The memo holds each `Dataset` weakly,
-  * by identity: a `Dataset` is immutable, so its encodings never go stale.
-  * They are unpersisted by the first `rank` after the `Dataset` itself is
-  * unpersisted, or by Spark's context cleaner once it is unreachable. A
-  * `Dataset` that is not persisted is encoded again by every pass.
+  * `Scorer.encoding` encodes every table into a locally checkpointed RDD,
+  * and later passes with that encoding read it. The checkpoint cuts the
+  * encoding's lineage, so a pass's tasks no longer carry the repository
+  * `Dataset`'s plan. The trade-off: a cached block that is lost (say, with
+  * its executor) fails the pass instead of being recomputed. The memo holds
+  * each `Dataset` weakly, by identity: a `Dataset` is immutable, so its
+  * encodings never go stale. They are unpersisted by the first `rank` after
+  * the `Dataset` itself is unpersisted, or by Spark's context cleaner once
+  * it is unreachable. A `Dataset` that is not persisted is encoded again,
+  * without a checkpoint, by every pass.
   *
   * A `Dataset`'s `rdd` is built once and memoised, so the plan analysis,
   * optimisation and deserializer codegen are paid by the first pass over a
@@ -99,13 +109,18 @@ object Engine {
       tables: Dataset[BenchTable],
       f: BenchTable => Iterator[Scored]
   ): (Map[Int, Array[Long]], Long) =
-    collectRanked(tables.rdd.mapPartitions(_.flatMap(f)))
+    collectRanked(tables.rdd)(_.flatMap(f))
 
-  private def collectRanked(scored: RDD[Scored]): (Map[Int, Array[Long]], Long) = {
+  /** Run `f` over every partition of `rdd` in one job and rank its rows per
+    * query by (−score, table id); also returns the job's wall-clock
+    * milliseconds. The job computes every partition, so the first job over
+    * a locally checkpointed RDD materialises its checkpoint.
+    */
+  private def collectRanked[A](rdd: RDD[A])(f: Iterator[A] => Iterator[Scored]): (Map[Int, Array[Long]], Long) = {
     val t0   = System.nanoTime()
-    val rows = scored.collect()
+    val rows = rdd.sparkContext.runJob(rdd, (_: TaskContext, it: Iterator[A]) => f(it).toArray, rdd.partitions.indices)
     val ms   = (System.nanoTime() - t0) / 1000000L
-    val ranked = rows
+    val ranked = rows.flatten
       .groupBy(_.qid)
       .map { case (q, arr) =>
         q -> arr.sortBy(s => (-s.score, s.tid)).map(_.tid)
@@ -118,9 +133,11 @@ object Engine {
     */
   private val encoded = new java.util.WeakHashMap[Dataset[BenchTable], mutable.Map[String, RDD[(Long, Any)]]]
 
-  /** `tables` encoded with `scorer.table`: memoised and persisted while
-    * `tables` is persisted, recomputed by every pass otherwise. The
-    * encodings of a `Dataset` that has been unpersisted are released.
+  /** `tables` encoded with `scorer.table`: memoised and locally
+    * checkpointed while `tables` is persisted, recomputed by every pass
+    * otherwise. The encodings of a `Dataset` that has been unpersisted leave
+    * the memo before they are unpersisted, so no pass reads a released
+    * checkpoint.
     */
   private def encodedTables[T](tables: Dataset[BenchTable], scorer: Scorer[_, T]): RDD[(Long, T)] = {
     val table  = scorer.table
@@ -137,7 +154,9 @@ object Engine {
           .computeIfAbsent(tables, _ => mutable.HashMap.empty)
           .getOrElseUpdate(
             scorer.encoding,
-            encode.setName(s"encoded repository: ${scorer.encoding}").persist(StorageLevel.MEMORY_ONLY)
+            // stored deserialised at MEMORY_AND_DISK, the level Spark gives
+            // a local checkpoint
+            encode.setName(s"encoded repository: ${scorer.encoding}").localCheckpoint()
           )
     }.asInstanceOf[RDD[(Long, T)]]
   }
@@ -154,12 +173,11 @@ object Engine {
       scorer: Scorer[Q, T],
       restrict: Map[Int, Set[Long]] = Map.empty
   ): (Map[Int, Array[Long]], Long) = {
-    val bq    = spark.sparkContext.broadcast(queries.map(q => (q.qid, scorer.query(q))))
-    val br    = spark.sparkContext.broadcast(restrict)
+    val qs    = queries.map(q => (q.qid, scorer.query(q)))
     val score = scorer.score
-    collectRanked(encodedTables(tables, scorer).flatMap { case (tid, enc) =>
-      bq.value.iterator.collect {
-        case (qid, q) if br.value.get(qid).forall(_.contains(tid)) => Scored(qid, tid, score(q, enc))
+    collectRanked(encodedTables(tables, scorer))(_.flatMap { case (tid, enc) =>
+      qs.iterator.collect {
+        case (qid, q) if restrict.get(qid).forall(_.contains(tid)) => Scored(qid, tid, score(q, enc))
       }
     })
   }

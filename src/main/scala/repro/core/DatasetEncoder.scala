@@ -17,7 +17,8 @@ import repro.vis.AggOp
 object DatasetEncoder {
 
   /** Encode one column under `cfg`. Only the finite cells are encoded: a
-    * column with no finite cell encodes as an empty column.
+    * column with no finite cell encodes as an empty column. Finite cells of
+    * any magnitude keep their shape (see `Features.overflowScale`).
     *
     * A variant whose z-normalised series equals, bit for bit, that of an
     * earlier variant at the same window is not materialised (in practice
@@ -41,7 +42,12 @@ object DatasetEncoder {
       }
       i += 1
     }
-    val values = if (finite == column.length) column else column.filter(java.lang.Double.isFinite)
+    val finiteCells = if (finite == column.length) column else column.filter(java.lang.Double.isFinite)
+    // Cells large enough to overflow the z-normalisation are scaled by a
+    // power of two first, so the views' aggregates do not overflow either;
+    // the z-values are unchanged by the scaling. min, max and sum stay raw.
+    val scale  = Features.overflowScale(finiteCells)
+    val values = if (scale == 1.0) finiteCells else finiteCells.map(_ * scale)
     val z = Features.znorm(values)
     val (segs, pos) = Features.segmentAll(z, cfg.p2)
     val windows  = cfg.daWindows(values.length)

@@ -24,23 +24,58 @@ object Features {
     Array(1.0, 0.8, 0.7, 0.7, 1.0, 0.9) ++ Array.fill(ShapePts)(0.8)
   private val WSum: Double = W.sum
 
-  /** z-normalise a series (zero mean, unit variance; flat series map to 0). */
+  /** z-normalise a series (zero mean, unit variance; flat series map to 0).
+    * A series whose mean or variance overflows is z-normalised scaled by a
+    * power of two that brings its largest |cell| into [1, 2). The scaling
+    * is exact, so the z-values are those of the series at a magnitude where
+    * nothing overflows.
+    */
   def znorm(xs: Array[Double]): Array[Double] = {
     val n = xs.length
     if (n == 0) return xs
+    val (mean, sd) = meanSd(xs)
+    if (!java.lang.Double.isFinite(sd)) {
+      val c = unitScale(xs)
+      if (c != 1.0) return znorm(xs.map(_ * c))
+    }
+    if (sd < 1e-12) Array.fill(n)(0.0)
+    else {
+      val out = new Array[Double](n)
+      var i = 0
+      while (i < n) { out(i) = (xs(i) - mean) / sd; i += 1 }
+      out
+    }
+  }
+
+  /** The factor `znorm` scales `xs` by: 1.0 unless its mean or variance
+    * overflows. A caller that also aggregates a finite series scales it by
+    * this first, so no aggregate overflows either.
+    */
+  def overflowScale(xs: Array[Double]): Double =
+    if (xs.isEmpty || java.lang.Double.isFinite(meanSd(xs)._2)) 1.0 else unitScale(xs)
+
+  /** Mean and population standard deviation of a non-empty series. */
+  private def meanSd(xs: Array[Double]): (Double, Double) = {
+    val n = xs.length
     var s = 0.0; var i = 0
     while (i < n) { s += xs(i); i += 1 }
     val mean = s / n
     var v = 0.0; i = 0
     while (i < n) { val d = xs(i) - mean; v += d * d; i += 1 }
-    val sd = math.sqrt(v / n)
-    if (sd < 1e-12) Array.fill(n)(0.0)
-    else {
-      val out = new Array[Double](n)
-      i = 0
-      while (i < n) { out(i) = (xs(i) - mean) / sd; i += 1 }
-      out
+    (mean, math.sqrt(v / n))
+  }
+
+  /** The power of two that brings the largest finite |cell| of `xs` into
+    * [1, 2); 1.0 when `xs` has no finite non-zero cell.
+    */
+  private def unitScale(xs: Array[Double]): Double = {
+    var mx = 0.0; var i = 0
+    while (i < xs.length) {
+      val a = math.abs(xs(i))
+      if (java.lang.Double.isFinite(a) && a > mx) mx = a
+      i += 1
     }
+    if (mx == 0.0) 1.0 else math.scalb(1.0, -math.getExponent(mx))
   }
 
   /** Feature vector of `xs[from, until)`. Callers guarantee until > from. */

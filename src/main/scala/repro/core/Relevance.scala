@@ -12,9 +12,14 @@ object Relevance {
   /** Max series length fed to DTW; see DESIGN.md §2 for the substitution. */
   val MaxDtwLen = 256
 
-  /** Prepare a raw series for DTW: z-normalise then downsample. */
-  def prep(xs: Array[Double]): Array[Double] =
-    Dtw.downsample(Features.znorm(xs), MaxDtwLen)
+  /** Prepare a raw series for DTW: drop its non-finite cells (NaN, ±Inf),
+    * z-normalise, then downsample. A series of finite cells large enough
+    * to overflow keeps its shape (`Features.znorm`).
+    */
+  def prep(xs: Array[Double]): Array[Double] = {
+    val finite = if (xs.forall(java.lang.Double.isFinite)) xs else xs.filter(java.lang.Double.isFinite)
+    Dtw.downsample(Features.znorm(finite), MaxDtwLen)
+  }
 
   /** Rel over already-prepared (z-normalised, downsampled) series. */
   def relPrepared(d: Array[Array[Double]], cols: Array[Array[Double]]): Double = {

@@ -170,6 +170,53 @@ class EngineSpec extends SparkSpec {
     Seq(first, second).foreach(ranks => ref.foreach { case (qid, r) => assert(ranks(qid).toSeq == r.toSeq) })
   }
 
+  test("the first pass over a persisted Dataset checkpoints its encoding") {
+    val scorer = Scorer.cml.copy(encoding = "cml, checkpointed")
+    def memoised = spark.sparkContext.getPersistentRDDs.values.filter(_.name == s"encoded repository: ${scorer.encoding}")
+    val ds = exp.tablesDs.filter(_ => true).persist()
+    // a pass that scores no pair still encodes, and checkpoints, every table
+    Engine.rank(spark, ds, exp.bench.queries.take(1), scorer, Map(exp.bench.queries(0).qid -> Set.empty[Long]))
+    assert(memoised.size == 1)
+    assert(memoised.forall(_.isCheckpointed))
+    ds.unpersist(blocking = true)
+  }
+
+  test("a Dataset unpersisted and persisted again between passes ranks the same on every pass") {
+    val ds      = exp.tablesDs.filter(_ => true).persist()
+    val queries = exp.bench.queries
+    Seq[Scorer[_, _]](Scorer.fcm(FcmConfig(useDa = false)), Scorer.cml).foreach { scorer =>
+      val (ref, _) = Engine.rank(spark, ds, queries, scorer)
+      ds.unpersist(blocking = true)
+      val (unpersisted, _) = Engine.rank(spark, ds, queries, scorer)
+      ds.persist()
+      val (first, _)  = Engine.rank(spark, ds, queries, scorer)
+      val (second, _) = Engine.rank(spark, ds, queries, scorer)
+      Seq(unpersisted, first, second).foreach { ranks =>
+        assert(ranks.keySet == ref.keySet)
+        ref.foreach { case (qid, ranked) => assert(ranks(qid).toSeq == ranked.toSeq, s"query $qid") }
+      }
+    }
+    ds.unpersist(blocking = true)
+  }
+
+  test("a restricted pass equals the unrestricted ranking filtered to each query's candidates") {
+    val queries = exp.bench.queries
+    val ids     = exp.bench.repo.map(_.id)
+    val restrict = Map(
+      queries(0).qid -> ids.take(7).toSet,
+      queries(1).qid -> ids.filter(_ % 3 == 1).toSet,
+      queries(2).qid -> Set.empty[Long]
+    )
+    Seq[Scorer[_, _]](Scorer.fcm(FcmConfig()), Scorer.cml, Scorer.gt).foreach { scorer =>
+      val (full, _)       = Engine.rank(spark, exp.tablesDs, queries, scorer)
+      val (restricted, _) = Engine.rank(spark, exp.tablesDs, queries, scorer, restrict)
+      queries.foreach { q =>
+        val expected = restrict.get(q.qid).fold(full(q.qid).toSeq)(allowed => full(q.qid).toSeq.filter(allowed))
+        assert(restricted.getOrElse(q.qid, Array.empty[Long]).toSeq == expected, s"query ${q.qid}")
+      }
+    }
+  }
+
   test("FCM encodings depend on p2 and useDa only, and no two methods share an encoding") {
     val base = FcmConfig()
     val same = Seq(

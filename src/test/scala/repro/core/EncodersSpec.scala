@@ -27,6 +27,25 @@ class EncodersSpec extends AnyFunSuite {
     assert(none.nRows == 0 && none.segs.isEmpty && none.variants.isEmpty)
   }
 
+  test("a column scaled by a power of two, up to the last finite scale, encodes to the same segments and views") {
+    def bits(segs: Array[Array[Double]]): Seq[Seq[Long]] =
+      segs.toSeq.map(_.toSeq.map(java.lang.Double.doubleToRawLongBits))
+    val xs   = walk(512)
+    val kMax = 1023 - math.getExponent(xs.map(math.abs).max)
+    Seq(FcmConfig(), FcmConfig(useDa = false)).foreach { c =>
+      val ref = DatasetEncoder.encodeColumn(0, xs, c)
+      Seq(990, 1000, kMax).foreach { k =>
+        val emb = DatasetEncoder.encodeColumn(0, xs.map(math.scalb(_, k)), c)
+        assert(bits(emb.segs) == bits(ref.segs), k)
+        assert(emb.pos.toSeq == ref.pos.toSeq, k)
+        assert(emb.variants.map(v => (v.op, v.window)).toSeq == ref.variants.map(v => (v.op, v.window)).toSeq, k)
+        emb.variants.zip(ref.variants).foreach { case (v, r) => assert(bits(v.segs) == bits(r.segs), k) }
+        // the raw statistics stay unscaled
+        assert(emb.max == math.scalb(ref.max, k) && emb.min == math.scalb(ref.min, k), k)
+      }
+    }
+  }
+
   test("base segmentation respects p2") {
     val emb = DatasetEncoder.encodeColumn(0, walk(256), FcmConfig(p2 = 64, useDa = false))
     assert(emb.segs.length == 4)

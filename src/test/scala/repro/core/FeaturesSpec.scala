@@ -1,6 +1,9 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropCheck.check
+
 import scala.util.Random
 
 class FeaturesSpec extends AnyFunSuite {
@@ -24,6 +27,38 @@ class FeaturesSpec extends AnyFunSuite {
     val a  = Features.znorm(xs)
     val b  = Features.znorm(xs.map(v => v * 13.0 - 100.0))
     a.zip(b).foreach { case (x, y) => assert(math.abs(x - y) < 1e-9) }
+  }
+
+  test("znorm is bit-identical under power-of-two scaling, up to the last scale that keeps every cell finite") {
+    def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    val gen = for {
+      n  <- Gen.choose(2, 600)
+      xs <- Gen.listOfN(n, Gen.choose(-1000000, 1000000)).suchThat(_.distinct.length > 1)
+    } yield xs.map(_ / 1024.0).toArray
+    check(Prop.forAllNoShrink(gen) { xs =>
+      val ref  = bits(Features.znorm(xs))
+      val kMax = 1023 - math.getExponent(xs.map(math.abs).max)
+      (0 to kMax).forall { k =>
+        val scaled = xs.map(x => math.scalb(x, k))
+        bits(Features.znorm(scaled)) == ref
+      }
+    }, minSuccessful = 60)
+  }
+
+  test("znorm keeps the shape of large finite series, where the plain mean or variance overflows") {
+    val rng = new Random(7)
+    var x   = 0.0
+    val xs  = Array.fill(512) { x += rng.nextGaussian(); x }
+    val ref = Features.znorm(xs)
+    Seq(1e300, 1e305, -1e305).foreach { c =>
+      val z = Features.znorm(xs.map(_ * c))
+      assert(z.forall(java.lang.Double.isFinite), c)
+      z.zip(ref).foreach { case (a, b) => assert(math.abs(a - math.signum(c) * b) < 1e-9, c) }
+    }
+    assert(Features.overflowScale(xs) == 1.0)
+    val big = xs.map(_ * 1e305)
+    assert(math.abs(big.map(math.abs).max * Features.overflowScale(big)) >= 1.0)
+    assert(math.abs(big.map(math.abs).max * Features.overflowScale(big)) < 2.0)
   }
 
   test("segFeatures computes the six statistics") {

@@ -172,6 +172,20 @@ class MatcherSpec extends AnyFunSuite {
     }
   }
 
+  test("large finite cells give a finite score and a finite Rel, with DA on and off") {
+    val xs = walk(512, 25)
+    Seq(1e300, 1e305, -1e305, Double.MaxValue / xs.map(math.abs).max).foreach { m =>
+      val cols = Array(xs.map(_ * m), walk(300, 26))
+      Seq(cfg, cfg.copy(useDa = false), cfg.copy(useHcman = false)).foreach { c =>
+        val s = Matcher.score(chartOf(Array(xs), c), DatasetEncoder.encodeTable(1L, cols, c), c)
+        assert(java.lang.Double.isFinite(s) && s >= 0.0 && s < 1.0, (m, c))
+      }
+      // the scaled column keeps the chart's shape (mirrored when m < 0)
+      val rel = Relevance.rel(Array(xs, xs.map(-_)), cols)
+      assert(java.lang.Double.isFinite(rel) && rel > 0.5, m)
+    }
+  }
+
   private def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
 
   private val segsGen: Gen[(Array[Array[Double]], Array[Double])] = for {
@@ -323,15 +337,19 @@ class MatcherSpec extends AnyFunSuite {
 private object Reference {
 
   /** The dataset encoder before repeated DA views were dropped: every
-    * operator at every window, all cells encoded.
+    * operator at every window, all cells encoded. Like `DatasetEncoder`, it
+    * aggregates a column whose z-normalisation would overflow scaled by
+    * `Features.overflowScale`, so both encoders see the same finite views.
     */
-  def encodeColumn(colIdx: Int, values: Array[Double], cfg: FcmConfig): ColumnEmb = {
+  def encodeColumn(colIdx: Int, column: Array[Double], cfg: FcmConfig): ColumnEmb = {
+    val scale  = Features.overflowScale(column)
+    val values = if (scale == 1.0) column else column.map(_ * scale)
     var mn = Double.PositiveInfinity
     var mx = Double.NegativeInfinity
     var sm = 0.0
     var i = 0
-    while (i < values.length) {
-      val v = values(i)
+    while (i < column.length) {
+      val v = column(i)
       if (v < mn) mn = v
       if (v > mx) mx = v
       sm += v

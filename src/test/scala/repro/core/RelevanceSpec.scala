@@ -52,6 +52,21 @@ class RelevanceSpec extends AnyFunSuite {
     assert(Relevance.rel(d, src) > Relevance.rel(d, other))
   }
 
+  test("Rel ignores non-finite cells: bit-identical to the table without them") {
+    val clean = Array(walk(300), walk(200))
+    val dirty = Array(
+      clean(0).patch(7, Seq(Double.NaN), 0).patch(150, Seq(Double.PositiveInfinity), 0) :+ Double.NegativeInfinity,
+      Double.NaN +: clean(1).patch(60, Seq(Double.NegativeInfinity, Double.NaN), 0)
+    )
+    val d = Array(clean(0).clone(), walk(250))
+    val r = Relevance.rel(d, dirty)
+    assert(java.lang.Double.doubleToRawLongBits(r) == java.lang.Double.doubleToRawLongBits(Relevance.rel(d, clean)))
+    assert(java.lang.Double.isFinite(r))
+    // a column without a finite cell is an empty column
+    val none = Array(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+    assert(Relevance.rel(d, Array(none)) == 0.0)
+  }
+
   test("empty inputs give zero relevance") {
     assert(Relevance.rel(Array.empty, Array(walk(10))) == 0.0)
     assert(Relevance.rel(Array(walk(10)), Array.empty) == 0.0)

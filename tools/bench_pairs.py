@@ -18,7 +18,13 @@ side's runs, their q1, median and q3, how many pairs each side won (ties
 count for neither), the head's relative change of the median in the
 metric's better direction, and whether the head's gain clears the rule a
 claimed gain must meet: it wins at least nine tenths of the pairs and the
-medians differ by more than the base's interquartile range. Failed and attempted operations are summed per side.
+medians differ by more than the base's interquartile range. Two regression
+verdicts go with it: `within_bound` holds when the head's median is worse
+than the base's by no more than the metric's `bound` (a fraction of the
+base's median), and `unresolved` holds when the base's interquartile range is
+wider than that bound and not every head run beats every base run, so the
+runs cannot tell a regression within the bound from noise. Failed and
+attempted operations are summed per side.
 With --trace-seed, one traced run per side and workload adds the per-layer
 metrics.
 """
@@ -85,6 +91,8 @@ def summarise(metric, base_runs, head_runs):
     bq1, bmed, bq3 = quartiles(base_runs)
     hq1, hmed, hq3 = quartiles(head_runs)
     gain = sign * (hmed - bmed)
+    bound = metric["bound"] * abs(bmed)
+    every_head_run_better = all(sign * (h - b) > 0 for h in head_runs for b in base_runs)
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -96,6 +104,8 @@ def summarise(metric, base_runs, head_runs):
         "pairs": len(base_runs),
         "head_rel_change": gain / abs(bmed) if bmed else None,
         "claimable_gain": wins >= 0.9 * len(base_runs) and gain > bq3 - bq1,
+        "within_bound": gain >= -bound,
+        "unresolved": bq3 - bq1 > bound and not every_head_run_better,
     }
 
 
