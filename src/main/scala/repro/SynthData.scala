@@ -4,16 +4,16 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
-/** Synthetic OLAP data at a configurable scale factor.
+/** Synthetic TPC-H-lite `lineitem` at a configurable scale factor.
   *
-  * SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-  * benchmarks use SF~=0.1. Generators are deterministic in (sf, seed) so
-  * the DuckDB oracle sees identical input.
+  * SF=1.0 has TPC-H SF1's 6M lineitem rows, with keys drawn over SF1's
+  * order and part counts. Tests use SF<=0.01; benchmarks use SF~=0.1. The
+  * generator is deterministic in (sf, seed, partition count) so the DuckDB
+  * oracle sees identical input.
   */
 object SynthData {
   private val NLineitemPerSf = 6_000_000L
   private val NOrdersPerSf   = 1_500_000L
-  private val NCustomerPerSf =   150_000L
   private val NPartPerSf     =   200_000L
 
   private def n(base: Long, sf: Double): Long = math.max(1L, (base * sf).toLong)
@@ -34,32 +34,6 @@ object SynthData {
                  (rand(seed + 8) * 2 + 1).cast("int")) as "l_linestatus",
       date_add(lit("1992-01-01").cast(DateType),
                (rand(seed + 9) * 2557).cast("int"))    as "l_shipdate",
-    )
-  }
-
-  def orders(spark: SparkSession, sf: Double = 0.01, seed: Long = 1): DataFrame = {
-    import spark.implicits._
-    val nCust = n(NCustomerPerSf, sf)
-    spark.range(1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
-      $"o_orderkey",
-      (rand(seed)     * nCust + 1).cast(LongType)             as "o_custkey",
-      element_at(array(lit("O"), lit("F"), lit("P")),
-                 (rand(seed + 1) * 3 + 1).cast("int"))         as "o_orderstatus",
-      round(rand(seed + 2) * 500000 + 1000, 2)                 as "o_totalprice",
-      date_add(lit("1992-01-01").cast(DateType),
-               (rand(seed + 3) * 2406).cast("int"))            as "o_orderdate",
-    )
-  }
-
-  def customer(spark: SparkSession, sf: Double = 0.01, seed: Long = 2): DataFrame = {
-    import spark.implicits._
-    spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey").select(
-      $"c_custkey",
-      (rand(seed) * 25).cast(IntegerType)                as "c_nationkey",
-      round(rand(seed + 1) * 10000 - 1000, 2)            as "c_acctbal",
-      element_at(array(lit("BUILDING"), lit("AUTOMOBILE"), lit("MACHINERY"),
-                       lit("HOUSEHOLD"), lit("FURNITURE")),
-                 (rand(seed + 2) * 5 + 1).cast("int"))   as "c_mktsegment",
     )
   }
 }

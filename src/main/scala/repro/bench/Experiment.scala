@@ -33,7 +33,10 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
   lazy val tablesDs: Dataset[BenchTable] = {
     val sp = spark
     import sp.implicits._
-    val ds = sp.createDataset(bench.repo.toSeq).persist()
+    // the local checkpoint cuts the lineage back to the driver-side rows, so
+    // no later task ships its slice of the repository; the checkpointed
+    // Dataset is persisted, so `Engine.rank` memoises its encodings
+    val ds = sp.createDataset(bench.repo.toSeq).localCheckpoint().persist()
     ds.count() // materialise before any timed pass
     ds
   }

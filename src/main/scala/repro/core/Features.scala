@@ -25,20 +25,23 @@ object Features {
   private val WSum: Double = W.sum
 
   /** z-normalise a series (zero mean, unit variance; flat series map to 0).
-    * A series whose mean or variance overflows is z-normalised scaled by a
-    * power of two that brings its largest |cell| into [1, 2). The scaling
-    * is exact, so the z-values are those of the series at a magnitude where
-    * nothing overflows.
+    * A series whose mean or variance overflows, or whose standard deviation
+    * is below the flatness threshold while its largest |cell| is below 1,
+    * is z-normalised scaled by a power of two that brings its largest |cell|
+    * into [1, 2). The scaling is exact, so the z-values are those of the
+    * series at a magnitude where nothing overflows and a tiny series keeps
+    * its shape; a series still flat at that magnitude maps to 0.
     */
   def znorm(xs: Array[Double]): Array[Double] = {
     val n = xs.length
     if (n == 0) return xs
     val (mean, sd) = meanSd(xs)
-    if (!java.lang.Double.isFinite(sd)) {
+    val flat = sd < 1e-12
+    if (flat || !java.lang.Double.isFinite(sd)) {
       val c = unitScale(xs)
-      if (c != 1.0) return znorm(xs.map(_ * c))
+      if (c > 1.0 || (c < 1.0 && !flat)) return znorm(xs.map(_ * c))
     }
-    if (sd < 1e-12) Array.fill(n)(0.0)
+    if (flat) Array.fill(n)(0.0)
     else {
       val out = new Array[Double](n)
       var i = 0
@@ -66,7 +69,8 @@ object Features {
   }
 
   /** The power of two that brings the largest finite |cell| of `xs` into
-    * [1, 2); 1.0 when `xs` has no finite non-zero cell.
+    * [1, 2); 1.0 when `xs` has no finite non-zero cell. A subnormal largest
+    * |cell| lands below 1, and `znorm` scales once more.
     */
   private def unitScale(xs: Array[Double]): Double = {
     var mx = 0.0; var i = 0
@@ -171,8 +175,41 @@ object Features {
       d += W(j) * x * x
       j += 1
     }
-    math.exp(-math.sqrt(d / WSum) / Tau)
+    simOfDist(d)
   }
+
+  /** `out(off + n) = sim(a, bs(n))` for every `n`. Four vectors of `bs` are
+    * compared at a time, each with its own accumulator, so the four
+    * dependency chains overlap; every distance keeps `sim`'s operation
+    * order, so the results equal `sim`'s bit for bit.
+    */
+  def simRow(a: Array[Double], bs: Array[Array[Double]], out: Array[Double], off: Int): Unit = {
+    val nb = bs.length
+    var n  = 0
+    while (n + 4 <= nb) {
+      val b0 = bs(n); val b1 = bs(n + 1); val b2 = bs(n + 2); val b3 = bs(n + 3)
+      var d0 = 0.0; var d1 = 0.0; var d2 = 0.0; var d3 = 0.0
+      var j = 0
+      while (j < a.length) {
+        val w  = W(j)
+        val aj = a(j)
+        val x0 = aj - b0(j); d0 += w * x0 * x0
+        val x1 = aj - b1(j); d1 += w * x1 * x1
+        val x2 = aj - b2(j); d2 += w * x2 * x2
+        val x3 = aj - b3(j); d3 += w * x3 * x3
+        j += 1
+      }
+      out(off + n) = simOfDist(d0)
+      out(off + n + 1) = simOfDist(d1)
+      out(off + n + 2) = simOfDist(d2)
+      out(off + n + 3) = simOfDist(d3)
+      n += 4
+    }
+    while (n < nb) { out(off + n) = sim(a, bs(n)); n += 1 }
+  }
+
+  /** The `sim` kernel of a weighted squared distance `d`. */
+  private def simOfDist(d: Double): Double = math.exp(-math.sqrt(d / WSum) / Tau)
 
   /** Cosine similarity; zero vectors map to 0. */
   def cosine(a: Array[Double], b: Array[Double]): Double = {

@@ -9,7 +9,8 @@ package repro.core
   *  - MoE gate (Sec. V-D): a sparse top-1 choice among the identity expert
   *    and one expert per aggregation operator (each at its best HMRL
   *    scale); an aggregation expert wins only if it beats the identity
-  *    expert by `GateMargin`;
+  *    expert by `GateMargin`, and one whose pre-score bound shows it
+  *    cannot win skips its attention pass, which changes no choice;
   *  - LL-SAN (line-to-column level): attention plus exact bipartite
   *    assignment over the pair scores, producing a 6-dim chart-level
   *    feature vector;
@@ -51,40 +52,81 @@ object Matcher {
       cPos: Array[Double],
       cfg: FcmConfig
   ): Array[Double] =
-    pairFeatures(lSegs, lPos, Features.pool(lSegs), cSegs, cPos, Features.pool(cSegs))
+    pairFeatures(lSegs, lPos, Features.pool(lSegs), cSegs, cPos, Features.pool(cSegs), Double.NegativeInfinity)
 
-  /** `pairFeatures` with both sides' pooled vectors supplied by the caller. */
-  private def pairFeatures(
+  /** Slack on `bestMean` in the pre-score bound. It covers the rounding by
+    * which the computed attention-weighted mean can exceed the computed
+    * `bestMean`: about 2·(nl + nc + 1)·2⁻⁵³ relative, far below 1e-9 for
+    * any segment count that fits in memory.
+    */
+  private val BoundSlack = 1.0 + 1e-9
+
+  /** The SL-SAN kernel, with both sides' pooled vectors supplied by the
+    * caller, in two stages; `null` when the pair's pre-score provably cannot
+    * exceed `bar`.
+    *
+    * Stage one fills the similarity matrix, one row at a time with the
+    * column maxima kept alongside, and computes `bestMean`, `coverage`,
+    * `posCons` and `globalSim`. Stage two is the attention pass, `nc` exps
+    * per line segment, giving `softAlign`. An attention-weighted mean of a
+    * row is at most the row's best similarity, so `softAlign ≤ bestMean`
+    * up to rounding, and `preScore` is monotone in each feature under
+    * round-to-nearest. Hence the pre-score is at most `preScore` of the
+    * stage-one features with `bestMean·BoundSlack` in place of `softAlign`,
+    * and when that bound is ≤ `bar` stage two is skipped. With `bar` = −∞
+    * both stages always run.
+    */
+  private[core] def pairFeatures(
       lSegs: Array[Array[Double]],
       lPos: Array[Double],
       lPool: Array[Double],
       cSegs: Array[Array[Double]],
       cPos: Array[Double],
-      cPool: Array[Double]
+      cPool: Array[Double],
+      bar: Double
   ): Array[Double] = {
     val nl = lSegs.length
     val nc = cSegs.length
     if (nl == 0 || nc == 0) return Array.fill(PairFeatDim)(0.0)
-    val s = new Array[Double](nl * nc) // row-major: s(j * nc + n)
+    val s       = new Array[Double](nl * nc) // row-major: s(j * nc + n)
+    val colBest = new Array[Double](nc)      // best match per data segment
+    var bestMean = 0.0
+    var posDev   = 0.0
     var j = 0
     while (j < nl) {
+      val row = j * nc
+      Features.simRow(lSegs(j), cSegs, s, row)
+      var best = 0.0
+      var bestN = 0
       var n = 0
       while (n < nc) {
-        s(j * nc + n) = Features.sim(lSegs(j), cSegs(n))
+        val v = s(row + n)
+        if (v > best) { best = v; bestN = n }
+        if (v > colBest(n)) colBest(n) = v
         n += 1
       }
+      bestMean += best
+      posDev += math.abs(lPos(j) - cPos(bestN))
       j += 1
     }
+    bestMean /= nl
+    val posCons = math.max(0.0, 1.0 - 2.0 * posDev / nl)
+    var coverage = 0.0
+    var n = 0
+    while (n < nc) { coverage += colBest(n); n += 1 }
+    coverage /= nc
+    val globalSim = Features.sim(lPool, cPool)
+    val f = Array(bestMean * BoundSlack, bestMean, coverage, posCons, globalSim)
+    if (preScore(f) <= bar) return null
+
     val z = new Array[Double](nc) // one line segment's attention logits
     var softAlign = 0.0
-    var bestMean  = 0.0
-    var posDev    = 0.0
     j = 0
     while (j < nl) {
       // attention logits: similarity biased towards positionally close segments
       val row = j * nc
       var zMax = Double.NegativeInfinity
-      var n = 0
+      n = 0
       while (n < nc) {
         z(n) = AttnKappa * s(row + n) - 3.0 * math.abs(lPos(j) - cPos(n))
         if (z(n) > zMax) zMax = z(n)
@@ -92,36 +134,18 @@ object Matcher {
       }
       var den = 0.0
       var num = 0.0
-      var best = 0.0
-      var bestN = 0
       n = 0
       while (n < nc) {
         val e = math.exp(z(n) - zMax)
         den += e
         num += e * s(row + n)
-        if (s(row + n) > best) { best = s(row + n); bestN = n }
         n += 1
       }
       softAlign += num / den
-      bestMean += best
-      posDev += math.abs(lPos(j) - cPos(bestN))
       j += 1
     }
-    softAlign /= nl
-    bestMean /= nl
-    val posCons = math.max(0.0, 1.0 - 2.0 * posDev / nl)
-    var coverage = 0.0
-    var n = 0
-    while (n < nc) {
-      var best = 0.0
-      j = 0
-      while (j < nl) { if (s(j * nc + n) > best) best = s(j * nc + n); j += 1 }
-      coverage += best
-      n += 1
-    }
-    coverage /= nc
-    val globalSim = Features.sim(lPool, cPool)
-    Array(softAlign, bestMean, coverage, posCons, globalSim)
+    f(0) = softAlign / nl
+    f
   }
 
   /** Scalar pre-score of a pair feature vector (used for gating/attention). */
@@ -145,28 +169,40 @@ object Matcher {
     * scale — the sparsely-gated MoE of the paper's citation [35]. Returns
     * the winning expert's pair features and the id of the inferred
     * operator (0 = identity).
+    *
+    * An aggregation expert runs its SL-SAN attention pass only if its
+    * pre-score bound (`softAlign ≤ bestMean`, see the kernel) exceeds both
+    * the running best and the identity's pre-score plus `GateMargin`. An
+    * expert bounded by the running best cannot replace it, which takes a
+    * strictly higher pre-score; one bounded by the gate bar cannot win the
+    * gate, and any expert that beats the bar is never skipped. So the
+    * winner, its features and the op are bit for bit those of running
+    * every expert in full.
     */
   def daPairFeatures(
       line: LineEmb,
       col: ColumnEmb,
       cfg: FcmConfig
   ): (Array[Double], Int) = {
-    val identity = pairFeatures(line.segs, line.pos, line.pooled, col.segs, col.pos, col.pooled)
+    val identity =
+      pairFeatures(line.segs, line.pos, line.pooled, col.segs, col.pos, col.pooled, Double.NegativeInfinity)
     if (!cfg.useDa || col.variants.isEmpty) return (identity, 0)
 
-    val idScore = preScore(identity)
+    val gateBar = preScore(identity) + GateMargin
     var bestOp = 0
     var bestFeat = identity
     var bestScore = Double.NegativeInfinity
     var i = 0
     while (i < col.variants.length) {
       val v = col.variants(i)
-      val f = pairFeatures(line.segs, line.pos, line.pooled, v.segs, v.pos, v.pooled)
-      val u = preScore(f)
-      if (u > bestScore) { bestScore = u; bestFeat = f; bestOp = v.op }
+      val f = pairFeatures(line.segs, line.pos, line.pooled, v.segs, v.pos, v.pooled, math.max(bestScore, gateBar))
+      if (f != null) {
+        val u = preScore(f)
+        if (u > bestScore) { bestScore = u; bestFeat = f; bestOp = v.op }
+      }
       i += 1
     }
-    if (bestScore > idScore + GateMargin) (bestFeat, bestOp) else (identity, 0)
+    if (bestScore > gateBar) (bestFeat, bestOp) else (identity, 0)
   }
 
   /** Fraction of the chart's y-range covered by the column's feasible

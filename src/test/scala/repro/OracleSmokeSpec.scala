@@ -2,50 +2,54 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Sanity checks of the DuckDB oracle against Spark SQL over the provided
-  * TPC-H-lite generators — catches canonicalisation drift early.
+/** Sanity checks of the DuckDB oracle against Spark SQL over the TPC-H-lite
+  * `lineitem` generator — catches canonicalisation drift early.
   */
 class OracleSmokeSpec extends SparkSpec {
 
-  test("customer counts by market segment match DuckDB") {
-    val customer = SynthData.customer(spark, 0.002)
-    val df = customer
-      .groupBy(col("c_mktsegment"))
+  private lazy val lineitem = SynthData.lineitem(spark, 0.0005)
+
+  test("lineitem counts by return flag and line status match DuckDB") {
+    val df = lineitem
+      .groupBy(col("l_returnflag"), col("l_linestatus"))
       .agg(count(lit(1)).cast("long").as("n"))
     Oracle.assertEquivalent(
       df,
-      "SELECT c_mktsegment, COUNT(*) AS n FROM customer GROUP BY c_mktsegment",
-      "customer" -> customer
+      """SELECT l_returnflag, l_linestatus, COUNT(*) AS n
+        |FROM lineitem GROUP BY l_returnflag, l_linestatus""".stripMargin,
+      "lineitem" -> lineitem
     )
   }
 
-  test("order price extremes by status match DuckDB") {
-    val orders = SynthData.orders(spark, 0.002)
-    val df = orders
-      .groupBy(col("o_orderstatus"))
-      .agg(min(col("o_totalprice")).as("lo"), max(col("o_totalprice")).as("hi"))
+  test("lineitem price extremes by line number match DuckDB") {
+    val df = lineitem
+      .groupBy(col("l_linenumber"))
+      .agg(min(col("l_extendedprice")).as("lo"), max(col("l_extendedprice")).as("hi"))
     Oracle.assertEquivalent(
       df,
-      """SELECT o_orderstatus, MIN(CAST(o_totalprice AS DOUBLE)) AS lo,
-        |       MAX(CAST(o_totalprice AS DOUBLE)) AS hi
-        |FROM orders GROUP BY o_orderstatus""".stripMargin,
-      "orders" -> orders
+      """SELECT CAST(l_linenumber AS INTEGER) AS l_linenumber,
+        |       MIN(CAST(l_extendedprice AS DOUBLE)) AS lo,
+        |       MAX(CAST(l_extendedprice AS DOUBLE)) AS hi
+        |FROM lineitem GROUP BY CAST(l_linenumber AS INTEGER)""".stripMargin,
+      "lineitem" -> lineitem
     )
   }
 
   test("filtered join cardinality matches DuckDB") {
-    val orders   = SynthData.orders(spark, 0.002)
-    val customer = SynthData.customer(spark, 0.002)
-    val df = orders
-      .join(customer, orders("o_custkey") === customer("c_custkey"))
-      .where(col("c_mktsegment") === "BUILDING")
+    val a = lineitem.as("a")
+    val b = lineitem.as("b")
+    val df = a
+      .join(b, col("a.l_orderkey") === col("b.l_orderkey") && col("a.l_linenumber") < col("b.l_linenumber"))
+      .where(col("a.l_returnflag") === "R")
       .agg(count(lit(1)).cast("long").as("n"))
     Oracle.assertEquivalent(
       df,
       """SELECT COUNT(*) AS n
-        |FROM orders o JOIN customer c ON CAST(o.o_custkey AS BIGINT) = CAST(c.c_custkey AS BIGINT)
-        |WHERE c.c_mktsegment = 'BUILDING'""".stripMargin,
-      "orders" -> orders, "customer" -> customer
+        |FROM lineitem a JOIN lineitem b
+        |  ON CAST(a.l_orderkey AS BIGINT) = CAST(b.l_orderkey AS BIGINT)
+        | AND CAST(a.l_linenumber AS INTEGER) < CAST(b.l_linenumber AS INTEGER)
+        |WHERE a.l_returnflag = 'R'""".stripMargin,
+      "lineitem" -> lineitem
     )
   }
 }

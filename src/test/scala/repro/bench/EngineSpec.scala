@@ -1,5 +1,9 @@
 package repro.bench
 
+import org.apache.spark.rdd.RDD
+import org.apache.spark.storage.StorageLevel
+import org.apache.spark.rdd.RDD
+import org.apache.spark.storage.StorageLevel
 import org.apache.spark.util.LongAccumulator
 import repro.SparkSpec
 import repro.baselines.{Cml, DeLn, LineNet, Qetch}
@@ -54,6 +58,20 @@ class EngineSpec extends SparkSpec {
         persisted.foreach { case (qid, ranked) => assert(ranks(qid).toSeq == ranked.toSeq, s"query $qid") }
       }
     }
+  }
+
+  test("the experiment's repository Dataset reaches no driver-side rows through its lineage") {
+    def lineage(rdd: RDD[_]): Seq[RDD[_]] = rdd +: rdd.dependencies.flatMap(d => lineage(d.rdd))
+    val kinds = lineage(exp.tablesDs.rdd).map(_.getClass.getSimpleName)
+    assert(!kinds.contains("ParallelCollectionRDD"), kinds)
+    assert(exp.tablesDs.storageLevel != StorageLevel.NONE)
+  }
+
+  test("the experiment's repository Dataset reaches no driver-side rows through its lineage") {
+    def lineage(rdd: RDD[_]): Seq[RDD[_]] = rdd +: rdd.dependencies.flatMap(d => lineage(d.rdd))
+    val kinds = lineage(exp.tablesDs.rdd).map(_.getClass.getSimpleName)
+    assert(!kinds.contains("ParallelCollectionRDD"), kinds)
+    assert(exp.tablesDs.storageLevel != StorageLevel.NONE)
   }
 
   test("fcmRank covers sweep queries too") {

@@ -19,7 +19,9 @@ class FeaturesSpec extends AnyFunSuite {
   }
 
   test("znorm maps constant series to zeros") {
-    assert(Features.znorm(Array.fill(10)(42.0)).forall(_ == 0.0))
+    Seq(42.0, 0.3, -0.7, 1e-15, 3e-310).foreach { v =>
+      assert(Features.znorm(Array.fill(10)(v)).forall(_ == 0.0), v)
+    }
   }
 
   test("znorm is scale and offset invariant") {
@@ -59,6 +61,52 @@ class FeaturesSpec extends AnyFunSuite {
     val big = xs.map(_ * 1e305)
     assert(math.abs(big.map(math.abs).max * Features.overflowScale(big)) >= 1.0)
     assert(math.abs(big.map(math.abs).max * Features.overflowScale(big)) < 2.0)
+  }
+
+  test("znorm is bit-identical under power-of-two downscaling, down to the last scale that keeps every cell normal") {
+    def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    val gen = for {
+      n  <- Gen.choose(2, 600)
+      xs <- Gen.listOfN(n, Gen.choose(-1000000, 1000000)).suchThat(_.distinct.length > 1)
+    } yield xs.map(_ / 1024.0).toArray
+    check(Prop.forAllNoShrink(gen) { xs =>
+      val ref  = bits(Features.znorm(xs))
+      val kMax = math.getExponent(xs.filter(_ != 0.0).map(math.abs).min) - java.lang.Double.MIN_EXPONENT
+      (0 to kMax).forall { k =>
+        val scaled = xs.map(x => math.scalb(x, -k))
+        bits(Features.znorm(scaled)) == ref
+      }
+    }, minSuccessful = 60)
+  }
+
+  test("znorm keeps the shape of tiny-magnitude series") {
+    val rng = new Random(9)
+    var x   = 0.0
+    val xs  = Array.fill(512) { x += rng.nextGaussian(); x }
+    val ref = Features.znorm(xs)
+    Seq(1e-15, -1e-15, 1e-200, 1e-300).foreach { c =>
+      val z = Features.znorm(xs.map(_ * c))
+      z.zip(ref).foreach { case (a, b) => assert(math.abs(a - math.signum(c) * b) < 1e-9, c) }
+    }
+  }
+
+  test("simRow equals sim bit for bit, element by element (scalacheck)") {
+    def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    val vec = Gen.oneOf(
+      Gen.listOfN(Features.Dim, Gen.choose(-3.0, 3.0)),
+      Gen.listOfN(Features.Dim, Gen.oneOf(0.0, -0.0, 1e-300, 1.0, 1e150, -2.5))
+    ).map(_.toArray)
+    val gen = for {
+      a   <- vec
+      nb  <- Gen.choose(0, 13)
+      bs  <- Gen.listOfN(nb, Gen.oneOf(vec, Gen.const(a.clone)))
+      off <- Gen.choose(0, 3)
+    } yield (a, bs.toArray, off)
+    check(Prop.forAll(gen) { case (a, bs, off) =>
+      val out = Array.fill(off + bs.length + 2)(-1.0)
+      Features.simRow(a, bs, out, off)
+      bits(out) == bits(Array.fill(off)(-1.0) ++ bs.map(Features.sim(a, _)) ++ Array(-1.0, -1.0))
+    }, 200)
   }
 
   test("segFeatures computes the six statistics") {

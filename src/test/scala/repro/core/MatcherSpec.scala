@@ -318,6 +318,117 @@ class MatcherSpec extends AnyFunSuite {
     assert(dropped > 0 && sumKept > 0, s"dropped $dropped, sum kept $sumKept")
   }
 
+  /** Segments of an expert built to stress the pre-score bound: random;
+    * a copy of the line (every aligned distance is 0, so similarities
+    * saturate at 1.0); one segment repeated at spread positions (a row of
+    * equal similarities, whose attention-weighted mean may round above the
+    * row's best); or no segments at all.
+    */
+  private def adversarialSegs(line: (Array[Array[Double]], Array[Double])) = for {
+    kind <- Gen.choose(0, 4)
+    rnd  <- segsGen
+    reps <- Gen.choose(1, 12)
+  } yield kind match {
+    case 0 | 1 => rnd
+    case 2     => (line._1.map(_.clone), line._2.clone)
+    case 3     => (Array.fill(reps)(rnd._1(0).clone), Array.tabulate(reps)(i => (i + 0.5) / reps))
+    case _     => (Array.empty[Array[Double]], Array.empty[Double])
+  }
+
+  /** A column whose experts are adversarial for the MoE's work skipping:
+    * besides `adversarialSegs`, an expert may repeat an earlier expert
+    * (its pre-score ties the running best) or the column itself (it ties
+    * the identity expert, so it can never clear the gate).
+    */
+  private def adversarialColumn(line: (Array[Array[Double]], Array[Double])): Gen[ColumnEmb] = for {
+    (cSegs, cPos) <- Gen.oneOf(segsGen, adversarialSegs(line).suchThat(_._1.nonEmpty))
+    nVar  <- Gen.choose(0, 8)
+    segs  <- Gen.listOfN(nVar, adversarialSegs(line))
+    ops   <- Gen.listOfN(nVar, Gen.choose(1, 4))
+    links <- Gen.listOfN(nVar, Gen.choose(-3, nVar))
+  } yield {
+    val variants = new Array[DaVariant](nVar)
+    for (i <- 0 until nVar) {
+      val (s, p) = links(i) match {
+        case -1                   => (cSegs.map(_.clone), cPos.clone)
+        case l if l >= 0 && l < i => (variants(l).segs.map(_.clone), variants(l).pos.clone)
+        case _                    => segs(i)
+      }
+      variants(i) = DaVariant(ops(i), 4, s, p)
+    }
+    ColumnEmb(0, 64, 0.0, 1.0, 1.0, cSegs, cPos, variants)
+  }
+
+  /** One to three lines (one segment, in one case in four) and one to three
+    * adversarial columns.
+    */
+  private val adversarialGen: Gen[(Array[LineEmb], Array[ColumnEmb])] = for {
+    m     <- Gen.choose(1, 3)
+    lines <- Gen.listOfN(m, Gen.oneOf(segsGen, segsGen.map { case (s, p) => (s.take(1), p.take(1)) }))
+    nCols <- Gen.choose(1, 3)
+    cols  <- Gen.listOfN(nCols, adversarialColumn(lines.head))
+  } yield (lines.map { case (s, p) => LineEmb(s, p, Features.pool(s), 0.0, 1.0) }.toArray, cols.toArray)
+
+  test("daPairFeatures and score equal the reference bit for bit on adversarial experts (scalacheck)") {
+    var aggWins = 0
+    check(Prop.forAll(adversarialGen) { case (lines, cols) =>
+      val pairs = for (line <- lines; col <- cols) yield {
+        val (f, op)       = Matcher.daPairFeatures(line, col, cfg)
+        val (fRef, opRef) = Reference.daPairFeatures(line, col, cfg)
+        if (op != 0) aggWins += 1
+        bits(f) == bits(fRef) && op == opRef
+      }
+      val chart = ChartEmb(lines, 0.0, 1.0)
+      val tab   = TableEmb(1L, cols)
+      pairs.forall(identity) &&
+        bits(Array(Matcher.score(chart, tab, cfg))) == bits(Array(Reference.score(chart, tab, cfg)))
+    }, 150)
+    assert(aggWins > 0)
+  }
+
+  test("the SL-SAN pre-score bound holds, ties with the bar are skipped, and a lower bar runs the attention pass (scalacheck)") {
+    val gen = for {
+      line   <- Gen.oneOf(segsGen, segsGen.map { case (s, p) => (s.take(1), p.take(1)) })
+      expert <- adversarialSegs(line).suchThat(_._1.nonEmpty)
+    } yield (line, expert)
+    var roundedAbove = 0
+    check(Prop.forAll(gen) { case ((lSegs, lPos), (cSegs, cPos)) =>
+      val (lPool, cPool) = (Features.pool(lSegs), Features.pool(cSegs))
+      def run(bar: Double) = Matcher.pairFeatures(lSegs, lPos, lPool, cSegs, cPos, cPool, bar)
+      val full  = run(Double.NegativeInfinity)
+      // the bound: preScore with bestMean (feature 1) raised by the slack in
+      // place of softAlign (feature 0)
+      val bound = Matcher.preScore(Array(full(1) * (1.0 + 1e-9), full(1), full(2), full(3), full(4)))
+      if (full(0) > full(1)) roundedAbove += 1
+      Matcher.preScore(full) <= bound &&
+        run(bound) == null &&
+        bits(run(math.nextDown(bound))) == bits(full) &&
+        bits(full) == bits(Reference.pairFeatures(lSegs, lPos, cSegs, cPos, cfg))
+    }, 300)
+    // rows of equal similarities do round the attention-weighted mean above
+    // the best match: the slack is needed
+    assert(roundedAbove > 0)
+  }
+
+  test("a tiny-magnitude source table scores and relates like the unscaled table") {
+    val xs    = walk(512, 27)
+    val other = walk(300, 28)
+    val unscaled = Array(xs, other)
+    Seq(cfg, cfg.copy(useDa = false), cfg.copy(useHcman = false)).foreach { c =>
+      // a y-range neither table reaches, so the range feature, which depends
+      // on magnitude by design, reads 0 for both
+      val chart = ChartEmb(Array(ChartEncoder.encodeLine(xs, c)), 1e6, 2e6)
+      def score(t: Array[Array[Double]]) = Matcher.score(chart, DatasetEncoder.encodeTable(1L, t, c), c)
+      val ref = score(unscaled)
+      // an exact power of two (2^-50 ≈ 8.9e-16) keeps every bit
+      assert(bits(Array(score(Array(xs.map(math.scalb(_, -50)), other)))) == bits(Array(ref)), c)
+      assert(math.abs(score(Array(xs.map(_ * 1e-15), other)) - ref) < 1e-9, c)
+    }
+    val relRef = Relevance.rel(Array(xs), unscaled)
+    assert(bits(Array(Relevance.rel(Array(xs), Array(xs.map(math.scalb(_, -50)), other)))) == bits(Array(relRef)))
+    assert(math.abs(Relevance.rel(Array(xs), Array(xs.map(_ * 1e-15), other)) - relRef) < 1e-9)
+  }
+
   test("sigmoid sanity") {
     assert(Matcher.sigmoid(0.0) == 0.5)
     assert(Matcher.sigmoid(100.0) > 0.999)
