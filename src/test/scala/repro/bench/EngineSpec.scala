@@ -2,8 +2,6 @@ package repro.bench
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
-import org.apache.spark.rdd.RDD
-import org.apache.spark.storage.StorageLevel
 import org.apache.spark.util.LongAccumulator
 import repro.SparkSpec
 import repro.baselines.{Cml, DeLn, LineNet, Qetch}
@@ -58,13 +56,6 @@ class EngineSpec extends SparkSpec {
         persisted.foreach { case (qid, ranked) => assert(ranks(qid).toSeq == ranked.toSeq, s"query $qid") }
       }
     }
-  }
-
-  test("the experiment's repository Dataset reaches no driver-side rows through its lineage") {
-    def lineage(rdd: RDD[_]): Seq[RDD[_]] = rdd +: rdd.dependencies.flatMap(d => lineage(d.rdd))
-    val kinds = lineage(exp.tablesDs.rdd).map(_.getClass.getSimpleName)
-    assert(!kinds.contains("ParallelCollectionRDD"), kinds)
-    assert(exp.tablesDs.storageLevel != StorageLevel.NONE)
   }
 
   test("the experiment's repository Dataset reaches no driver-side rows through its lineage") {
