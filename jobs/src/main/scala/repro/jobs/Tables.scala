@@ -17,7 +17,6 @@ object Jobs {
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-jobs")
-      .config("spark.sql.shuffle.partitions", "64")
       .config("spark.ui.enabled", "false")
       .getOrCreate()
 

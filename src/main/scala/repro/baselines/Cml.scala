@@ -22,8 +22,11 @@ object Cml {
   val ShapeLen    = 32
   val RoughBins   = 8
 
-  /** Global embedding of one series. */
-  def seriesVec(xs: Array[Double]): Array[Double] = {
+  /** Global embedding of one series, over its finite cells only (NaN and
+    * ±Inf are left out, as `Relevance.prep` leaves them out).
+    */
+  def seriesVec(raw: Array[Double]): Array[Double] = {
+    val xs    = if (raw.forall(java.lang.Double.isFinite)) raw else raw.filter(java.lang.Double.isFinite)
     val z     = Features.znorm(xs)
     val shape = Features.resample(z, ShapeLen)
     val rough = roughnessProfile(z, RoughBins)

@@ -152,6 +152,19 @@ object BenchData {
     BenchTable(id, cols, Array.range(0, m), -1L, fam)
   }
 
+  /** Render `spec` over `cols` and extract it again: the chart image, the
+    * extracted chart and the prepared underlying data of the ground truth.
+    */
+  private def render(
+      cols: Array[Array[Double]],
+      spec: ChartSpec,
+      cfg: BenchConfig
+  ): (ChartImage, ExtractedChart, Array[Array[Double]]) = {
+    val underlying = ChartSpec.underlying(cols, spec)
+    val img = Raster.render(underlying, cfg.chartW, cfg.chartH)
+    (img, Extractor.extract(img), underlying.map(Relevance.prep))
+  }
+
   /** Build a query pack from a table + spec (renders and extracts). */
   def makeQuery(
       qid: Int,
@@ -159,9 +172,7 @@ object BenchData {
       spec: ChartSpec,
       cfg: BenchConfig
   ): QueryPack = {
-    val underlying = ChartSpec.underlying(table.cols, spec)
-    val img = Raster.render(underlying, cfg.chartW, cfg.chartH)
-    val ex  = Extractor.extract(img)
+    val (img, ex, prepared) = render(table.cols, spec, cfg)
     QueryPack(
       qid = qid,
       sourceTable = table.id,
@@ -174,13 +185,18 @@ object BenchData {
       yHi = ex.yHi,
       cmlVec = Cml.chartVec(ex),
       lineNetVec = LineNet.embed(img),
-      underlyingPrepared = underlying.map(Relevance.prep)
+      underlyingPrepared = prepared
     )
   }
 
-  def generate(spark: SparkSession, cfg: BenchConfig): Bench = {
+  /** Generate the benchmark for `cfg`, on the driver. Every table, query
+    * and train pack is drawn from one `Random` seeded with `cfg.seed`, and
+    * the TPC-H-lite pool from its own fixed seed, so the result does not
+    * depend on the machine or on Spark's parallelism.
+    */
+  def generate(cfg: BenchConfig): Bench = {
     val rng  = new Random(cfg.seed)
-    val pool = SeriesGen.tpchPool(spark, cfg.tpchSf)
+    val pool = SeriesGen.tpchPool(cfg.tpchSf)
     val rowChoices = Array(256, 512, 768, 1024)
 
     var nextId = 0L
@@ -249,12 +265,15 @@ object BenchData {
           val maxW = math.max(2, math.min(100, 512 / 10))
           ChartSpec(t.specCols.toVector, Some((op, 2 + rng.nextInt(maxW - 1))))
         }
-      val underlying = ChartSpec.underlying(t.cols, spec)
-      val img = Raster.render(underlying, cfg.chartW, cfg.chartH)
-      val ex  = Extractor.extract(img)
-      Training.TrainPack(ex.lines, ex.yLo, ex.yHi, underlying.map(Relevance.prep), t.cols)
+      val (_, ex, prepared) = render(t.cols, spec, cfg)
+      Training.TrainPack(ex.lines, ex.yLo, ex.yHi, prepared, t.cols)
     }
 
     Bench(cfg, repo, queries, sweep, trainPacks)
   }
+
+  /** `generate(cfg)`; `spark` is unused. Kept for callers that pass a
+    * session, such as `perfbench/`.
+    */
+  def generate(spark: SparkSession, cfg: BenchConfig): Bench = generate(cfg)
 }

@@ -28,7 +28,7 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
 
   val defaultCfg: FcmConfig = FcmConfig()
 
-  lazy val bench: Bench = BenchData.generate(spark, cfg)
+  lazy val bench: Bench = BenchData.generate(cfg)
 
   lazy val tablesDs: Dataset[BenchTable] = {
     val sp = spark

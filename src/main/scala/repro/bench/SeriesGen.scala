@@ -1,17 +1,13 @@
 package repro.bench
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.SynthData
-
 import scala.util.Random
 
 /** Synthetic series families for the benchmark repository — the Plotly
   * corpus substitute (DESIGN.md §2). Five parametric families cover the
   * chart shapes common in the Plotly corpus (walks, trends/seasonality,
   * mean-reverting noise, regime steps, spiky series), plus a pool of
-  * real-ish TPC-H-lite daily aggregate series produced with Spark SQL over
-  * `repro.SynthData.lineitem`.
+  * real-ish TPC-H-lite daily aggregate series drawn on the driver by a
+  * fixed-seed loop (`tpchPool`).
   */
 object SeriesGen {
 
@@ -65,30 +61,38 @@ object SeriesGen {
       case _ => throw new IllegalArgumentException(s"unknown family $family")
     }
 
-  /** Daily aggregates over TPC-H-lite lineitem: one row per ship date with
-    * sum(quantity), avg(extendedprice) and the row count. Exposed so tests
-    * can cross-check it against DuckDB via `repro.Oracle`.
+  /** TPC-H SF1's lineitem row count, and the days its ship dates span
+    * (1992-01-01 .. 1998-12-31).
     */
-  def tpchDailyDF(spark: SparkSession, sf: Double): DataFrame =
-    SynthData
-      .lineitem(spark, sf)
-      .groupBy(col("l_shipdate"))
-      .agg(
-        sum(col("l_quantity")).as("qty_sum"),
-        avg(col("l_extendedprice")).as("price_avg"),
-        count(lit(1)).cast("double").as("cnt")
-      )
-      .orderBy(col("l_shipdate"))
+  private val LineitemPerSf = 6_000_000L
+  private val ShipDays      = 2557
 
-  /** Slice the TPC-H daily aggregate series into fixed-length segments —
-    * the pool the `tpch` table family samples from.
+  /** The pool the `tpch` table family samples from: `max(1, 6M·sf)`
+    * TPC-H-lite lineitem rows (ship day uniform over the 2,557 days,
+    * quantity U[1, 51), price U[900, 90900) rounded to cents) aggregated
+    * per ship day into three series — sum(quantity), avg(price) and the row
+    * count, days without a row left out — each sliced into `sliceLen`-day
+    * segments, keeping those of at least `sliceLen / 2` days. One
+    * fixed-seed `Random` draws every row, so the pool depends on `sf`
+    * alone.
     */
-  def tpchPool(spark: SparkSession, sf: Double = 0.01, sliceLen: Int = 512): Array[Array[Double]] = {
-    val rows = tpchDailyDF(spark, sf).collect()
-    val seriesCols = Seq(1, 2, 3).map(i => rows.map(_.getDouble(i)))
-    seriesCols.flatMap { s =>
-      s.grouped(sliceLen).filter(_.length >= sliceLen / 2).map(_.toArray)
-    }.toArray
+  def tpchPool(sf: Double = 0.01, sliceLen: Int = 512): Array[Array[Double]] = {
+    val rng   = new Random(0L)
+    val qty   = new Array[Double](ShipDays)
+    val price = new Array[Double](ShipDays)
+    val cnt   = new Array[Double](ShipDays)
+    var r     = math.max(1L, (LineitemPerSf * sf).toLong)
+    while (r > 0) {
+      val d = rng.nextInt(ShipDays)
+      qty(d) += 1.0 + 50.0 * rng.nextDouble()
+      price(d) += math.round((900.0 + 90000.0 * rng.nextDouble()) * 100.0) / 100.0
+      cnt(d) += 1.0
+      r -= 1
+    }
+    val days = cnt.indices.filter(cnt(_) > 0.0).toArray
+    Seq(days.map(qty), days.map(d => price(d) / cnt(d)), days.map(cnt))
+      .flatMap(_.grouped(sliceLen).filter(_.length >= sliceLen / 2))
+      .toArray
   }
 
   /** Draw a series from the TPC-H pool, resampled to `n` and rescaled. */

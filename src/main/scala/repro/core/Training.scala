@@ -136,8 +136,9 @@ object Training {
     order.grouped(batchSize).foreach { batch =>
       val idx = batch.toArray
       idx.foreach { i =>
+        // `selectNegatives` never reads the positive's own entry
         val rel = idx.map { j =>
-          Relevance.relPrepared(packs(i).underlyingPrepared, preparedCols(j))
+          if (j == i) 0.0 else Relevance.relPrepared(packs(i).underlyingPrepared, preparedCols(j))
         }
         val posLocal = idx.indexOf(i)
         examples += Example(Matcher.features(charts(i), embs(i), cfg), 1.0)

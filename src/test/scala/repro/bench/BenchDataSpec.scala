@@ -110,9 +110,40 @@ class BenchDataSpec extends SparkSpec {
   }
 
   test("generation is deterministic in the seed") {
-    val again = BenchData.generate(spark, cfg)
-    assert(again.repo.length == bench.repo.length)
-    assert(again.repo(0).cols(0).toSeq == bench.repo(0).cols(0).toSeq)
-    assert(again.queries.map(_.qid).toSeq == bench.queries.map(_.qid).toSeq)
+    // Pins the generated benchmark bit for bit, whatever the core count or
+    // Spark master: generation runs on the driver from fixed seeds.
+    val digest = BenchDataSpec.digest(BenchData.generate(cfg))
+    assert(digest == BenchDataSpec.digest(bench))
+    assert(digest == "aa97677a0ce4fcd82b42ce09d70cff1e836840d31141e1ce71e398cb9274f195")
+  }
+}
+
+object BenchDataSpec {
+
+  /** SHA-256 over the raw bits of a generated benchmark: every repository
+    * table (id, parent, family, spec columns and cells), every main and
+    * sweep query (every field of its pack) and every train pack.
+    */
+  def digest(b: Bench): String = {
+    val md  = java.security.MessageDigest.getInstance("SHA-256")
+    val buf = java.nio.ByteBuffer.allocate(8)
+    def long(v: Long): Unit          = { buf.clear(); md.update(buf.putLong(v).array()) }
+    def dbl(v: Double): Unit         = long(java.lang.Double.doubleToRawLongBits(v))
+    def arr(xs: Array[Double]): Unit = { long(xs.length.toLong); xs.foreach(dbl) }
+    def arrs(xss: Array[Array[Double]]): Unit = { long(xss.length.toLong); xss.foreach(arr) }
+    b.repo.foreach { t =>
+      long(t.id); long(t.parent); md.update(t.family.getBytes("UTF-8"))
+      arr(t.specCols.map(_.toDouble)); arrs(t.cols)
+    }
+    (b.queries ++ b.sweep).foreach { q =>
+      long(q.qid.toLong); long(q.sourceTable); long(q.m.toLong); long(if (q.isDa) 1L else 0L)
+      long(q.opId.toLong); long(q.window.toLong)
+      arrs(q.extractedLines); dbl(q.yLo); dbl(q.yHi)
+      arr(q.cmlVec); arr(q.lineNetVec); arrs(q.underlyingPrepared)
+    }
+    b.trainPacks.foreach { p =>
+      arrs(p.extractedLines); dbl(p.yLo); dbl(p.yHi); arrs(p.underlyingPrepared); arrs(p.rawCols)
+    }
+    md.digest().map(x => f"$x%02x").mkString
   }
 }

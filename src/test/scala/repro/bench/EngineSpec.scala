@@ -111,6 +111,24 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  /** `scorer`'s score of one (query, table) pair, computed on the driver. */
+  private def scoreOf[Q, T](scorer: Scorer[Q, T], q: QueryPack, t: BenchTable): Double =
+    scorer.score(scorer.query(q), scorer.table(t))
+
+  test("every method gives a finite score for a table with a NaN cell and a ±Inf cell") {
+    val t = exp.bench.repo.find(_.cols.length >= 2).get
+    val dirty = t.copy(cols = t.cols.zipWithIndex.map {
+      case (c, 0) => c.updated(3, Double.NaN)
+      case (c, 1) => c.updated(5, Double.PositiveInfinity).updated(9, Double.NegativeInfinity)
+      case (c, _) => c
+    })
+    val queries = Seq(exp.bench.queries.find(!_.isDa).get, exp.bench.queries.find(_.isDa).get)
+    for ((name, scorer, _) <- methods; q <- queries) {
+      val s = scoreOf(scorer, q, dirty)
+      assert(java.lang.Double.isFinite(s), s"$name, query ${q.qid}: $s")
+    }
+  }
+
   test("a restricted first pass over a fresh Dataset, then a full pass, ranks like the driver for every method") {
     val fresh    = exp.tablesDs.filter(_ => true).persist()
     val queries  = exp.bench.queries

@@ -1,11 +1,10 @@
 package repro.bench
 
-import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import org.scalatest.funsuite.AnyFunSuite
 
 import scala.util.Random
 
-class SeriesGenSpec extends SparkSpec {
+class SeriesGenSpec extends AnyFunSuite {
 
   test("parametric families are deterministic in the rng seed") {
     for (f <- 0 until SeriesGen.NFamilies) {
@@ -41,39 +40,20 @@ class SeriesGenSpec extends SparkSpec {
     intercept[IllegalArgumentException](SeriesGen.gen(new Random(1), 99, 10, 1.0, 0.0))
   }
 
-  test("TPC-H daily aggregates match DuckDB (Oracle)") {
-    // Exact, summation-order-independent aggregates only: sum/avg over
-    // doubles can differ between engines at the last ulp and flip a
-    // rounding boundary, which is not a correctness signal.
-    val lineitem = repro.SynthData.lineitem(spark, 0.001)
-    val df = lineitem
-      .groupBy(col("l_shipdate"))
-      .agg(
-        count(lit(1)).cast("long").as("cnt"),
-        min(col("l_quantity")).as("qty_min"),
-        max(col("l_extendedprice")).as("price_max")
-      )
-    Oracle.assertEquivalent(
-      df,
-      """SELECT l_shipdate,
-        |       COUNT(*) AS cnt,
-        |       MIN(CAST(l_quantity AS DOUBLE)) AS qty_min,
-        |       MAX(CAST(l_extendedprice AS DOUBLE)) AS price_max
-        |FROM lineitem GROUP BY l_shipdate""".stripMargin,
-      "lineitem" -> lineitem
-    )
-    // The sum/avg series that feed the pool are checked in-process instead.
-    val daily = SeriesGen.tpchDailyDF(spark, sf = 0.001).collect()
-    assert(daily.length > 2000)
-    daily.foreach { r =>
-      assert(r.getDouble(1) > 0.0)  // qty_sum
-      assert(r.getDouble(2) > 0.0)  // price_avg
-      assert(r.getDouble(3) >= 1.0) // cnt
+  test("TPC-H daily aggregates are per-day sums, means and counts") {
+    // one slice per series: the daily quantity sums, price means and counts
+    val Array(qty, price, cnt) = SeriesGen.tpchPool(sf = 0.001, sliceLen = 2557)
+    assert(cnt.length > 2000 && qty.length == cnt.length && price.length == cnt.length)
+    assert(cnt.sum == 6000.0)
+    cnt.indices.foreach { d =>
+      assert(cnt(d) >= 1.0 && cnt(d) == math.rint(cnt(d)))
+      assert(qty(d) >= cnt(d) && qty(d) < 51.0 * cnt(d))
+      assert(price(d) >= 900.0 && price(d) <= 90900.0)
     }
   }
 
   test("tpchPool yields usable slices") {
-    val pool = SeriesGen.tpchPool(spark, sf = 0.001, sliceLen = 256)
+    val pool = SeriesGen.tpchPool(sf = 0.001, sliceLen = 256)
     assert(pool.nonEmpty)
     pool.foreach(s => assert(s.length >= 128))
   }

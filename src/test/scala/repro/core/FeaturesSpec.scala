@@ -102,7 +102,7 @@ class FeaturesSpec extends AnyFunSuite {
       bs  <- Gen.listOfN(nb, Gen.oneOf(vec, Gen.const(a.clone)))
       off <- Gen.choose(0, 3)
     } yield (a, bs.toArray, off)
-    check(Prop.forAll(gen) { case (a, bs, off) =>
+    check(Prop.forAllNoShrink(gen) { case (a, bs, off) =>
       val out = Array.fill(off + bs.length + 2)(-1.0)
       Features.simRow(a, bs, out, off)
       bits(out) == bits(Array.fill(off)(-1.0) ++ bs.map(Features.sim(a, _)) ++ Array(-1.0, -1.0))

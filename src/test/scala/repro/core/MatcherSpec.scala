@@ -204,7 +204,7 @@ class MatcherSpec extends AnyFunSuite {
   } yield (line, col)
 
   test("pairFeatures equals the reference kernel bit for bit (scalacheck)") {
-    check(Prop.forAll(pairGen) { case ((lSegs, lPos), (cSegs, cPos)) =>
+    check(Prop.forAllNoShrink(pairGen) { case ((lSegs, lPos), (cSegs, cPos)) =>
       bits(Matcher.pairFeatures(lSegs, lPos, cSegs, cPos, cfg)) ==
         bits(Reference.pairFeatures(lSegs, lPos, cSegs, cPos, cfg))
     }, 60)
@@ -227,7 +227,7 @@ class MatcherSpec extends AnyFunSuite {
     }
     var aggWins = 0
     Seq(cfg, cfg.copy(useDa = false)).foreach { c =>
-      check(Prop.forAll(gen) { case (line, col) =>
+      check(Prop.forAllNoShrink(gen) { case (line, col) =>
         val (f, op)       = Matcher.daPairFeatures(line, col, c)
         val (fRef, opRef) = Reference.daPairFeatures(line, col, c)
         if (op != 0) aggWins += 1
@@ -258,7 +258,7 @@ class MatcherSpec extends AnyFunSuite {
       (seed.toLong, cols, lines)
     }
     Seq(cfg, cfg.copy(useDa = false), cfg.copy(useHcman = false)).foreach { c =>
-      check(Prop.forAll(gen) { case (tid, cols, lines) =>
+      check(Prop.forAllNoShrink(gen) { case (tid, cols, lines) =>
         val chart = ChartEmb(lines.map(ChartEncoder.encodeLine(_, c)), -10.0, 10.0)
         val tab   = DatasetEncoder.encodeTable(tid, cols, c)
         Matcher.score(chart, tab, c) == Reference.score(chart, tab, c)
@@ -301,7 +301,7 @@ class MatcherSpec extends AnyFunSuite {
     }
     var dropped = 0
     var sumKept = 0
-    check(Prop.forAll(gen) { case (cols, lines) =>
+    check(Prop.forAllNoShrink(gen) { case (cols, lines) =>
       val chart = ChartEmb(lines.map(ChartEncoder.encodeLine(_, cfg)), -10.0, 10.0)
       val tab   = DatasetEncoder.encodeTable(7L, cols, cfg)
       val ref   = Reference.encodeTable(7L, cols, cfg)
@@ -371,7 +371,7 @@ class MatcherSpec extends AnyFunSuite {
 
   test("daPairFeatures and score equal the reference bit for bit on adversarial experts (scalacheck)") {
     var aggWins = 0
-    check(Prop.forAll(adversarialGen) { case (lines, cols) =>
+    check(Prop.forAllNoShrink(adversarialGen) { case (lines, cols) =>
       val pairs = for (line <- lines; col <- cols) yield {
         val (f, op)       = Matcher.daPairFeatures(line, col, cfg)
         val (fRef, opRef) = Reference.daPairFeatures(line, col, cfg)
@@ -392,7 +392,7 @@ class MatcherSpec extends AnyFunSuite {
       expert <- adversarialSegs(line).suchThat(_._1.nonEmpty)
     } yield (line, expert)
     var roundedAbove = 0
-    check(Prop.forAll(gen) { case ((lSegs, lPos), (cSegs, cPos)) =>
+    check(Prop.forAllNoShrink(gen) { case ((lSegs, lPos), (cSegs, cPos)) =>
       val (lPool, cPool) = (Features.pool(lSegs), Features.pool(cSegs))
       def run(bar: Double) = Matcher.pairFeatures(lSegs, lPos, lPool, cSegs, cPos, cPool, bar)
       val full  = run(Double.NegativeInfinity)
