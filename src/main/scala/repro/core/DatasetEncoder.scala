@@ -13,6 +13,11 @@ import repro.vis.AggOp
   *  - HMRL: each operator is materialised at every binary-tree window size
   *    {4, 8, ..., p2}, giving the multi-scale representation;
   *  - the MoE gate consumes these variants inside `Matcher`.
+  *
+  * A table's segments, base and views, are stored once, in the table's
+  * dimension-major `ExpertBlock`, which `encodeTable` builds with the rest
+  * of the encoding; the kernel then reads every expert of the table in one
+  * pass per line segment.
   */
 object DatasetEncoder {
 
@@ -26,7 +31,25 @@ object DatasetEncoder {
     * equal pair features, and the MoE gate keeps the first of equal scores,
     * so the dropped variant could never win.
     */
-  def encodeColumn(colIdx: Int, column: Array[Double], cfg: FcmConfig): ColumnEmb = {
+  def encodeColumn(colIdx: Int, column: Array[Double], cfg: FcmConfig): ColumnEmb =
+    assemble(Array(encode(colIdx, column, cfg)))(0)
+
+  /** Encode a whole table (all numeric columns) into one block. */
+  def encodeTable(tableId: Long, cols: Array[Array[Double]], cfg: FcmConfig): TableEmb =
+    TableEmb(tableId, assemble(cols.zipWithIndex.map { case (c, i) => encode(i, c, cfg) }))
+
+  /** A column's raw stats and its experts: the base segments as a view
+    * with op 0, then the materialised views.
+    */
+  private final case class Encoded(colIdx: Int, nRows: Int, min: Double, max: Double, sum: Double, experts: Array[DaVariant])
+
+  /** The columns, sharing one block in the given order. */
+  private def assemble(cols: Array[Encoded]): Array[ColumnEmb] = {
+    val block = ExpertBlock(cols.map(_.experts))
+    cols.zipWithIndex.map { case (c, i) => new ColumnEmb(c.colIdx, c.nRows, c.min, c.max, c.sum, block, i) }
+  }
+
+  private def encode(colIdx: Int, column: Array[Double], cfg: FcmConfig): Encoded = {
     var mn     = Double.PositiveInfinity
     var mx     = Double.NegativeInfinity
     var sm     = 0.0
@@ -66,10 +89,6 @@ object DatasetEncoder {
         variants += DaVariant(op.id, w, s, p)
       }
     }
-    ColumnEmb(colIdx, values.length, mn, mx, sm, segs, pos, variants.result())
+    Encoded(colIdx, values.length, mn, mx, sm, DaVariant(0, 0, segs, pos) +: variants.result())
   }
-
-  /** Encode a whole table (all numeric columns). */
-  def encodeTable(tableId: Long, cols: Array[Array[Double]], cfg: FcmConfig): TableEmb =
-    TableEmb(tableId, cols.zipWithIndex.map { case (c, i) => encodeColumn(i, c, cfg) })
 }

@@ -76,21 +76,134 @@ final case class DaVariant(
   lazy val pooled: Array[Double] = Features.pool(segs)
 }
 
-/** Segment-level embedding of one column, with raw stats for the
-  * range-overlap feature and the interval-tree index.
+/** The segments of every MoE expert of a table's columns, stored
+  * dimension-major: `feats(k)(n)` is feature k of segment n. The experts
+  * are each column's identity (its base segments), columns in order, then
+  * each column's materialised DA views, columns in order. Expert `e`
+  * holds segments `starts(e)` until `starts(e + 1)`; the identity of
+  * column c is expert c, and its views are experts `views(c)` until
+  * `views(c + 1)`. The identity segments thus come first, so a pass
+  * without DA reads one prefix of the block.
+  *
+  * `Matcher` computes a line segment's distance to every segment of the
+  * block in one pass over each feature array, a loop HotSpot vectorises.
+  * The block is the only store of the segment values: `ColumnEmb.segs` and
+  * `ColumnEmb.variants` are rebuilt from it.
+  *
+  * @param pooled  each expert's pooled vector (`Features.pool` of its
+  *                segments)
+  * @param ops     each expert's operator id, 0 for an identity
+  * @param windows each expert's window, 0 for an identity
   */
-final case class ColumnEmb(
-    colIdx: Int,
-    nRows: Int,
-    min: Double,
-    max: Double,
-    sum: Double,
-    segs: Array[Array[Double]],
-    pos: Array[Double],
-    variants: Array[DaVariant]
+final class ExpertBlock private (
+    val feats: Array[Array[Double]],
+    val pos: Array[Double],
+    val starts: Array[Int],
+    val pooled: Array[Array[Double]],
+    val ops: Array[Int],
+    val windows: Array[Int],
+    val views: Array[Int]
 ) extends Serializable {
-  lazy val pooled: Array[Double] = Features.pool(segs)
+
+  def nCols: Int = views.length - 1
+
+  /** Expert `e` as a view: its segments copied back out row-major. */
+  def expert(e: Int): DaVariant = {
+    val from = starts(e)
+    val n    = starts(e + 1) - from
+    DaVariant(ops(e), windows(e), Array.tabulate(n)(i => Array.tabulate(Features.Dim)(feats(_)(from + i))),
+      java.util.Arrays.copyOfRange(pos, from, from + n))
+  }
 }
 
-/** Segment-level embedding of a whole table. */
-final case class TableEmb(tableId: Long, cols: Array[ColumnEmb]) extends Serializable
+object ExpertBlock {
+
+  /** The block of `cols`, each given as its identity expert followed by
+    * its views.
+    */
+  def apply(cols: Array[Array[DaVariant]]): ExpertBlock = {
+    val order = cols.map(_.head) ++ cols.flatMap(_.tail)
+    val views = cols.scanLeft(cols.length)(_ + _.length - 1)
+    val starts = order.scanLeft(0)(_ + _.segs.length)
+    val feats  = Array.ofDim[Double](Features.Dim, starts.last)
+    val pos    = new Array[Double](starts.last)
+    var e = 0
+    while (e < order.length) {
+      val x = order(e)
+      var i = 0
+      while (i < x.segs.length) {
+        var k = 0
+        while (k < Features.Dim) { feats(k)(starts(e) + i) = x.segs(i)(k); k += 1 }
+        pos(starts(e) + i) = x.pos(i)
+        i += 1
+      }
+      e += 1
+    }
+    new ExpertBlock(feats, pos, starts, order.map(_.pooled), order.map(_.op), order.map(_.window), views)
+  }
+}
+
+/** Segment-level embedding of one column, with raw stats for the
+  * range-overlap feature and the interval-tree index. Its segments live in
+  * `block`, in which it is column `at`.
+  */
+final class ColumnEmb(
+    val colIdx: Int,
+    val nRows: Int,
+    val min: Double,
+    val max: Double,
+    val sum: Double,
+    val block: ExpertBlock,
+    val at: Int
+) extends Serializable {
+
+  /** The base segments, rebuilt from the block. */
+  def segs: Array[Array[Double]] = block.expert(at).segs
+  def pos: Array[Double]         = java.util.Arrays.copyOfRange(block.pos, block.starts(at), block.starts(at + 1))
+  def pooled: Array[Double]      = block.pooled(at)
+
+  /** The materialised DA views, rebuilt from the block. */
+  def variants: Array[DaVariant] = Array.range(block.views(at), block.views(at + 1)).map(block.expert)
+
+  private[core] def experts: Array[DaVariant] = block.expert(at) +: variants
+}
+
+object ColumnEmb {
+
+  /** A column in a block of its own. */
+  def apply(
+      colIdx: Int,
+      nRows: Int,
+      min: Double,
+      max: Double,
+      sum: Double,
+      segs: Array[Array[Double]],
+      pos: Array[Double],
+      variants: Array[DaVariant]
+  ): ColumnEmb =
+    new ColumnEmb(colIdx, nRows, min, max, sum, ExpertBlock(Array(DaVariant(0, 0, segs, pos) +: variants)), 0)
+}
+
+/** Segment-level embedding of a whole table: its columns share `block`, in
+  * which column c is `cols(c)`.
+  */
+final class TableEmb private (val tableId: Long, val cols: Array[ColumnEmb], val block: ExpertBlock)
+    extends Serializable
+
+object TableEmb {
+
+  /** A table of `cols`: their block when they already share one in column
+    * order, as `DatasetEncoder.encodeTable` builds them; otherwise their
+    * experts copied into a new block.
+    */
+  def apply(tableId: Long, cols: Array[ColumnEmb]): TableEmb = {
+    val shared = cols.nonEmpty && cols(0).block.nCols == cols.length &&
+      cols.indices.forall(c => (cols(c).block eq cols(0).block) && cols(c).at == c)
+    if (shared) new TableEmb(tableId, cols, cols(0).block)
+    else {
+      val block = ExpertBlock(cols.map(_.experts))
+      val moved = cols.zipWithIndex.map { case (c, i) => new ColumnEmb(c.colIdx, c.nRows, c.min, c.max, c.sum, block, i) }
+      new TableEmb(tableId, moved, block)
+    }
+  }
+}

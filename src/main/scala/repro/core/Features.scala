@@ -178,38 +178,37 @@ object Features {
     simOfDist(d)
   }
 
-  /** `out(off + n) = sim(a, bs(n))` for every `n`. Four vectors of `bs` are
-    * compared at a time, each with its own accumulator, so the four
-    * dependency chains overlap; every distance keeps `sim`'s operation
-    * order, so the results equal `sim`'s bit for bit.
+  /** Adds to `d(n)`, for every segment n in [from, until) of a
+    * dimension-major block (`feats(k)(n)` is feature k of segment n), the
+    * weighted squared distance of `a` to segment n: `d(n) += (W(k)·x)·x`
+    * with `x = a(k) − feats(k)(n)`, for k = 0 … Dim − 1. Started at +0.0,
+    * each distance takes `sim`'s operations in `sim`'s order, so
+    * `simOfDist(d(n))` equals `sim` bit for bit: Java never fuses a multiply
+    * and an add, and vector lanes perform the same IEEE operations. The
+    * inner loop runs over n in the same-index form `d(n) += w·x·x` over two
+    * distinct arrays, which HotSpot's C2 vectorises.
     */
-  def simRow(a: Array[Double], bs: Array[Array[Double]], out: Array[Double], off: Int): Unit = {
-    val nb = bs.length
-    var n  = 0
-    while (n + 4 <= nb) {
-      val b0 = bs(n); val b1 = bs(n + 1); val b2 = bs(n + 2); val b3 = bs(n + 3)
-      var d0 = 0.0; var d1 = 0.0; var d2 = 0.0; var d3 = 0.0
-      var j = 0
-      while (j < a.length) {
-        val w  = W(j)
-        val aj = a(j)
-        val x0 = aj - b0(j); d0 += w * x0 * x0
-        val x1 = aj - b1(j); d1 += w * x1 * x1
-        val x2 = aj - b2(j); d2 += w * x2 * x2
-        val x3 = aj - b3(j); d3 += w * x3 * x3
-        j += 1
+  def distances(a: Array[Double], feats: Array[Array[Double]], from: Int, until: Int, d: Array[Double]): Unit = {
+    var k = 0
+    while (k < Dim) {
+      val w  = W(k)
+      val ak = a(k)
+      val bk = feats(k)
+      var n  = from
+      while (n < until) {
+        val x = ak - bk(n)
+        d(n) += w * x * x
+        n += 1
       }
-      out(off + n) = simOfDist(d0)
-      out(off + n + 1) = simOfDist(d1)
-      out(off + n + 2) = simOfDist(d2)
-      out(off + n + 3) = simOfDist(d3)
-      n += 4
+      k += 1
     }
-    while (n < nb) { out(off + n) = sim(a, bs(n)); n += 1 }
   }
 
-  /** The `sim` kernel of a weighted squared distance `d`. */
-  private def simOfDist(d: Double): Double = math.exp(-math.sqrt(d / WSum) / Tau)
+  /** The `sim` kernel of a weighted squared distance `d`. It never
+    * increases as `d` grows: division and square root are correctly
+    * rounded, and `Math.exp` is semi-monotonic by its specification.
+    */
+  private[core] def simOfDist(d: Double): Double = math.exp(-math.sqrt(d / WSum) / Tau)
 
   /** Cosine similarity; zero vectors map to 0. */
   def cosine(a: Array[Double], b: Array[Double]): Double = {

@@ -19,6 +19,17 @@ package repro.core
   *
   * The FCM-HCMAN ablation (Table V) replaces all of it with pooled-vector
   * similarity, exactly as Sec. VII-D describes.
+  *
+  * The SL-SAN kernel reads a table's segments from its dimension-major
+  * `ExpertBlock`. `tableFeatures` computes each line segment's distance to
+  * every expert segment of the table in one pass (`Features.distances`,
+  * with `sim`'s operation order, so every distance is that of `sim`), and
+  * each MoE expert reads its slice of those distances. An aggregation
+  * expert's stage one works on distances, not similarities: the similarity
+  * never increases with the distance, so a best similarity is the
+  * similarity of a smallest distance, one exp per row and per column
+  * instead of one per entry. Every score, feature and op is bit for bit
+  * that of computing each similarity with `Features.sim`.
   */
 object Matcher {
 
@@ -61,20 +72,10 @@ object Matcher {
     */
   private val BoundSlack = 1.0 + 1e-9
 
-  /** The SL-SAN kernel, with both sides' pooled vectors supplied by the
-    * caller, in two stages; `null` when the pair's pre-score provably cannot
-    * exceed `bar`.
-    *
-    * Stage one fills the similarity matrix, one row at a time with the
-    * column maxima kept alongside, and computes `bestMean`, `coverage`,
-    * `posCons` and `globalSim`. Stage two is the attention pass, `nc` exps
-    * per line segment, giving `softAlign`. An attention-weighted mean of a
-    * row is at most the row's best similarity, so `softAlign ≤ bestMean`
-    * up to rounding, and `preScore` is monotone in each feature under
-    * round-to-nearest. Hence the pre-score is at most `preScore` of the
-    * stage-one features with `bestMean·BoundSlack` in place of `softAlign`,
-    * and when that bound is ≤ `bar` stage two is skipped. With `bar` = −∞
-    * both stages always run.
+  /** The SL-SAN kernel on given segments, with both sides' pooled vectors
+    * supplied by the caller; `null` when the pair's pre-score provably
+    * cannot exceed `bar` (see `expertFeatures`). The column side is put in
+    * a block of its own.
     */
   private[core] def pairFeatures(
       lSegs: Array[Array[Double]],
@@ -85,39 +86,175 @@ object Matcher {
       cPool: Array[Double],
       bar: Double
   ): Array[Double] = {
-    val nl = lSegs.length
-    val nc = cSegs.length
+    val b    = ExpertBlock(Array(Array(DaVariant(0, 0, cSegs, cPos))))
+    val dist = distanceRows(lSegs, b.starts(1))
+    addDistances(lSegs, b, 0, 1, dist)
+    expertFeatures(lPos, lPool, dist, b, 0, cPool, bar)
+  }
+
+  /** One row per line segment, to hold its distances to `n` block segments. */
+  private def distanceRows(lSegs: Array[Array[Double]], n: Int): Array[Array[Double]] = {
+    val dist = new Array[Array[Double]](lSegs.length)
+    var j = 0
+    while (j < dist.length) { dist(j) = new Array[Double](n); j += 1 }
+    dist
+  }
+
+  /** Fills `dist(j)` with line segment j's distances to the segments of
+    * experts `e0` until `e1` of `b`.
+    */
+  private def addDistances(lSegs: Array[Array[Double]], b: ExpertBlock, e0: Int, e1: Int, dist: Array[Array[Double]]): Unit = {
+    var j = 0
+    while (j < lSegs.length) { Features.distances(lSegs(j), b.feats, b.starts(e0), b.starts(e1), dist(j)); j += 1 }
+  }
+
+  /** `s(j * nc + n)`: the similarity of line segment j to segment n of the
+    * expert whose segments start at block index `o`.
+    */
+  private def similarities(dist: Array[Array[Double]], o: Int, nc: Int): Array[Double] = {
+    val s = new Array[Double](dist.length * nc)
+    var j = 0
+    while (j < dist.length) {
+      var n = 0
+      while (n < nc) { s(j * nc + n) = Features.simOfDist(dist(j)(o + n)); n += 1 }
+      j += 1
+    }
+    s
+  }
+
+  /** Below this similarity the `guard` is +∞: its proof needs a normal
+    * `Math.exp` result.
+    */
+  private val GuardedSim = math.scalb(1.0, -1000)
+  private val GuardRel   = 1.0 + math.scalb(1.0, -18)
+  private val GuardAbs   = math.scalb(1.0, -74)
+
+  /** A distance above `guard(dMin, best)` has a similarity below `best`,
+    * the similarity of the row's smallest distance `dMin`. Distances that
+    * differ can give equal similarities (0 and 1e-33 both give 1.0), but
+    * only one within this guard of `dMin` can. Equal similarities
+    * r ≥ 2⁻¹⁰⁰⁰ put the two exponents within 2⁻⁴⁹ of each other (`Math.exp`
+    * is within 1 ulp), and each exponent is within 3·2⁻⁵³ relative of
+    * √(d/WSum)/Tau (three correctly rounded operations). So
+    * √d ≤ √dMin·(1 + 7·2⁻⁵³) + 2⁻⁴⁸, hence d ≤ dMin·(1 + 2⁻¹⁹) + 2⁻⁷⁵; the
+    * guard doubles both terms to absorb its own rounding. Below 2⁻¹⁰⁰⁰ the
+    * guard is +∞.
+    */
+  private def guard(dMin: Double, best: Double): Double =
+    if (best >= GuardedSim) dMin * GuardRel + GuardAbs else Double.PositiveInfinity
+
+  /** The first index in `row(o) … row(o + nMin)` whose similarity equals
+    * `best`, where `nMin` is the first index of the row's smallest distance
+    * `dMin` and `best = simOfDist(dMin) > 0`: the index the similarity scan
+    * `v > best` keeps. A NaN distance is never a candidate.
+    */
+  private def firstBest(row: Array[Double], o: Int, nMin: Int, best: Double): Int = {
+    var n = 0
+    while (n < nMin) {
+      if (Features.simOfDist(row(o + n)) == best) return n
+      n += 1
+    }
+    nMin
+  }
+
+  /** SL-SAN features of a line against expert `e` of `b`, from the line
+    * segments' distances `dist(j)(n)` to the block's segments, in two
+    * stages; `null` when the pair's pre-score provably cannot exceed `bar`.
+    *
+    * Stage one computes `bestMean`, `coverage`, `posCons` and `globalSim`.
+    * With `bar` = −∞ (the identity expert) it fills the similarity matrix
+    * first and scans it. Otherwise it scans the distances: `simOfDist` never
+    * increases with the distance, so a row's best similarity, and each
+    * column's best, is the similarity of its smallest distance (a NaN
+    * distance is never a best), one exp per row and per column. The scan's
+    * `bestN` is the first index of the row's best similarity: a row whose
+    * similarities all underflow to 0 keeps 0, and otherwise it is the first
+    * smallest distance unless an earlier distance lies within the `guard`,
+    * which the running minimum before that index tells; only then does
+    * `firstBest` compare similarities.
+    *
+    * Stage two is the attention pass, `nc` exps per line segment, giving
+    * `softAlign`. An attention-weighted mean of a row is at most the row's
+    * best similarity, so `softAlign ≤ bestMean` up to rounding, and
+    * `preScore` is monotone in each feature under round-to-nearest. Hence
+    * the pre-score is at most `preScore` of the stage-one features with
+    * `bestMean·BoundSlack` in place of `softAlign`, and when that bound is
+    * ≤ `bar` stage two is skipped. With `bar` = −∞ both stages always run.
+    * Either way every feature is bit for bit that of the full kernel.
+    */
+  private def expertFeatures(
+      lPos: Array[Double],
+      lPool: Array[Double],
+      dist: Array[Array[Double]],
+      b: ExpertBlock,
+      e: Int,
+      cPool: Array[Double],
+      bar: Double
+  ): Array[Double] = {
+    val nl = dist.length
+    val o  = b.starts(e)
+    val nc = b.starts(e + 1) - o
     if (nl == 0 || nc == 0) return Array.fill(PairFeatDim)(0.0)
-    val s       = new Array[Double](nl * nc) // row-major: s(j * nc + n)
-    val colBest = new Array[Double](nc)      // best match per data segment
+    val eager   = bar == Double.NegativeInfinity
+    var s       = if (eager) similarities(dist, o, nc) else null // row-major: s(j * nc + n)
+    val colBest = new Array[Double](nc)                          // best match per data segment
     var bestMean = 0.0
     var posDev   = 0.0
     var j = 0
-    while (j < nl) {
-      val row = j * nc
-      Features.simRow(lSegs(j), cSegs, s, row)
-      var best = 0.0
-      var bestN = 0
-      var n = 0
-      while (n < nc) {
-        val v = s(row + n)
-        if (v > best) { best = v; bestN = n }
-        if (v > colBest(n)) colBest(n) = v
-        n += 1
+    var n = 0
+    if (eager) {
+      while (j < nl) {
+        val row = j * nc
+        var best = 0.0
+        var bestN = 0
+        n = 0
+        while (n < nc) {
+          val v = s(row + n)
+          if (v > best) { best = v; bestN = n }
+          if (v > colBest(n)) colBest(n) = v
+          n += 1
+        }
+        bestMean += best
+        posDev += math.abs(lPos(j) - b.pos(o + bestN))
+        j += 1
       }
-      bestMean += best
-      posDev += math.abs(lPos(j) - cPos(bestN))
-      j += 1
+    } else {
+      val colMin = new Array[Double](nc)
+      java.util.Arrays.fill(colMin, Double.PositiveInfinity)
+      while (j < nl) {
+        val row  = dist(j)
+        var dMin = Double.PositiveInfinity
+        var nMin = 0
+        var prev = Double.PositiveInfinity // smallest distance before nMin
+        n = 0
+        while (n < nc) {
+          val d = row(o + n)
+          if (d < dMin) { prev = dMin; dMin = d; nMin = n }
+          if (d < colMin(n)) colMin(n) = d
+          n += 1
+        }
+        val best  = Features.simOfDist(dMin)
+        val bestN =
+          if (!(best > 0.0)) 0
+          else if (prev <= guard(dMin, best)) firstBest(row, o, nMin, best)
+          else nMin
+        bestMean += best
+        posDev += math.abs(lPos(j) - b.pos(o + bestN))
+        j += 1
+      }
+      n = 0
+      while (n < nc) { colBest(n) = Features.simOfDist(colMin(n)); n += 1 }
     }
     bestMean /= nl
     val posCons = math.max(0.0, 1.0 - 2.0 * posDev / nl)
     var coverage = 0.0
-    var n = 0
+    n = 0
     while (n < nc) { coverage += colBest(n); n += 1 }
     coverage /= nc
     val globalSim = Features.sim(lPool, cPool)
     val f = Array(bestMean * BoundSlack, bestMean, coverage, posCons, globalSim)
     if (preScore(f) <= bar) return null
+    if (!eager) s = similarities(dist, o, nc)
 
     val z = new Array[Double](nc) // one line segment's attention logits
     var softAlign = 0.0
@@ -128,7 +265,7 @@ object Matcher {
       var zMax = Double.NegativeInfinity
       n = 0
       while (n < nc) {
-        z(n) = AttnKappa * s(row + n) - 3.0 * math.abs(lPos(j) - cPos(n))
+        z(n) = AttnKappa * s(row + n) - 3.0 * math.abs(lPos(j) - b.pos(o + n))
         if (z(n) > zMax) zMax = z(n)
         n += 1
       }
@@ -171,9 +308,9 @@ object Matcher {
     * operator (0 = identity).
     *
     * An aggregation expert runs its SL-SAN attention pass only if its
-    * pre-score bound (`softAlign ≤ bestMean`, see the kernel) exceeds both
-    * the running best and the identity's pre-score plus `GateMargin`. An
-    * expert bounded by the running best cannot replace it, which takes a
+    * pre-score bound (`softAlign ≤ bestMean`, see `expertFeatures`) exceeds
+    * both the running best and the identity's pre-score plus `GateMargin`.
+    * An expert bounded by the running best cannot replace it, which takes a
     * strictly higher pre-score; one bounded by the gate bar cannot win the
     * gate, and any expert that beats the bar is never skipped. So the
     * winner, its features and the op are bit for bit those of running
@@ -184,23 +321,32 @@ object Matcher {
       col: ColumnEmb,
       cfg: FcmConfig
   ): (Array[Double], Int) = {
-    val identity =
-      pairFeatures(line.segs, line.pos, line.pooled, col.segs, col.pos, col.pooled, Double.NegativeInfinity)
-    if (!cfg.useDa || col.variants.isEmpty) return (identity, 0)
+    val b    = col.block
+    val dist = distanceRows(line.segs, b.starts.last)
+    addDistances(line.segs, b, col.at, col.at + 1, dist)
+    if (cfg.useDa) addDistances(line.segs, b, b.views(col.at), b.views(col.at + 1), dist)
+    moe(line, dist, b, col.at, cfg.useDa)
+  }
+
+  /** The MoE of `line` against column `c` of `b`, given the line segments'
+    * distances to every segment of the column's experts.
+    */
+  private def moe(line: LineEmb, dist: Array[Array[Double]], b: ExpertBlock, c: Int, useDa: Boolean): (Array[Double], Int) = {
+    val identity = expertFeatures(line.pos, line.pooled, dist, b, c, b.pooled(c), Double.NegativeInfinity)
+    if (!useDa || b.views(c) == b.views(c + 1)) return (identity, 0)
 
     val gateBar = preScore(identity) + GateMargin
     var bestOp = 0
     var bestFeat = identity
     var bestScore = Double.NegativeInfinity
-    var i = 0
-    while (i < col.variants.length) {
-      val v = col.variants(i)
-      val f = pairFeatures(line.segs, line.pos, line.pooled, v.segs, v.pos, v.pooled, math.max(bestScore, gateBar))
+    var e = b.views(c)
+    while (e < b.views(c + 1)) {
+      val f = expertFeatures(line.pos, line.pooled, dist, b, e, b.pooled(e), math.max(bestScore, gateBar))
       if (f != null) {
         val u = preScore(f)
-        if (u > bestScore) { bestScore = u; bestFeat = f; bestOp = v.op }
+        if (u > bestScore) { bestScore = u; bestFeat = f; bestOp = b.ops(e) }
       }
-      i += 1
+      e += 1
     }
     if (bestScore > gateBar) (bestFeat, bestOp) else (identity, 0)
   }
@@ -224,11 +370,18 @@ object Matcher {
     if (m == 0 || nc == 0) return Array.fill(cfg.featureDim)(0.0)
     val u     = Array.ofDim[Double](m, nc)
     val align = Array.ofDim[Double](m, nc)
+    // one distance pass per line segment over every expert of the table:
+    // the identity experts, a prefix of the block, and with DA the views
+    val b       = tab.block
+    val experts = if (cfg.useDa) b.starts.length - 1 else nc
     var i = 0
     while (i < m) {
+      val line = chart.lines(i)
+      val dist = distanceRows(line.segs, b.starts(experts))
+      addDistances(line.segs, b, 0, experts, dist)
       var c = 0
       while (c < nc) {
-        val (f, _) = daPairFeatures(chart.lines(i), tab.cols(c), cfg)
+        val (f, _) = moe(line, dist, b, c, cfg.useDa)
         u(i)(c) = preScore(f)
         align(i)(c) = f(0)
         c += 1

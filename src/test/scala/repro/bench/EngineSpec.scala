@@ -1,5 +1,6 @@
 package repro.bench
 
+import org.apache.spark.SparkException
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 import org.apache.spark.util.LongAccumulator
@@ -242,6 +243,15 @@ class EngineSpec extends SparkSpec {
         assert(restricted.getOrElse(q.qid, Array.empty[Long]).toSeq == expected, s"query ${q.qid}")
       }
     }
+  }
+
+  test("a pass whose prepared query cannot be serialised fails, and the next pass ranks") {
+    val unserialisable = Scorer[Object, Array[Double]]("cml, unserialisable query", _ => new Object, t => Cml.tableVec(t.cols), (_, _) => 0.5)
+    val failure = intercept[SparkException](Engine.rank(spark, exp.tablesDs, exp.bench.queries.take(1), unserialisable))
+    assert(failure.getMessage.contains("not serializable"), failure.getMessage)
+    val (ranks, _) = Engine.rank(spark, exp.tablesDs, exp.bench.queries, Scorer.cml)
+    assert(ranks.keySet == exp.bench.queries.map(_.qid).toSet)
+    ranks.values.foreach(r => assert(r.length == exp.bench.repo.length))
   }
 
   test("FCM encodings depend on p2 and useDa only, and no two methods share an encoding") {

@@ -90,7 +90,7 @@ class FeaturesSpec extends AnyFunSuite {
     }
   }
 
-  test("simRow equals sim bit for bit, element by element (scalacheck)") {
+  test("distances give sim bit for bit, element by element (scalacheck)") {
     def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
     val vec = Gen.oneOf(
       Gen.listOfN(Features.Dim, Gen.choose(-3.0, 3.0)),
@@ -103,9 +103,17 @@ class FeaturesSpec extends AnyFunSuite {
       off <- Gen.choose(0, 3)
     } yield (a, bs.toArray, off)
     check(Prop.forAllNoShrink(gen) { case (a, bs, off) =>
-      val out = Array.fill(off + bs.length + 2)(-1.0)
-      Features.simRow(a, bs, out, off)
-      bits(out) == bits(Array.fill(off)(-1.0) ++ bs.map(Features.sim(a, _)) ++ Array(-1.0, -1.0))
+      // the segments sit at block indices off until off + nb, between
+      // segments the pass must not read or write
+      val feats = Array.tabulate(Features.Dim, off + bs.length + 2)((k, n) =>
+        if (n >= off && n < off + bs.length) bs(n - off)(k) else Double.NaN)
+      val d = new Array[Double](off + bs.length + 2)
+      Features.distances(a, feats, off, off + bs.length, d)
+      val sims = d.slice(off, off + bs.length).map(Features.simOfDist)
+      val row  = new Array[Double](bs.length)
+      Reference.simRow(a, bs, row, 0)
+      bits(sims) == bits(bs.map(Features.sim(a, _))) && bits(sims) == bits(row) &&
+        (d.take(off) ++ d.drop(off + bs.length)).forall(_ == 0.0)
     }, 200)
   }
 

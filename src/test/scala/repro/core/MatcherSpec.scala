@@ -318,21 +318,39 @@ class MatcherSpec extends AnyFunSuite {
     assert(dropped > 0 && sumKept > 0, s"dropped $dropped, sum kept $sumKept")
   }
 
-  /** Segments of an expert built to stress the pre-score bound: random;
-    * a copy of the line (every aligned distance is 0, so similarities
-    * saturate at 1.0); one segment repeated at spread positions (a row of
-    * equal similarities, whose attention-weighted mean may round above the
-    * row's best); or no segments at all.
+  /** `n` random segments. */
+  private def segsOf(n: Int): Gen[(Array[Array[Double]], Array[Double])] = for {
+    vs  <- Gen.listOfN(n * Features.Dim, Gen.choose(-3.0, 3.0))
+    pos <- Gen.listOfN(n, Gen.choose(0.0, 1.0))
+  } yield (vs.toArray.grouped(Features.Dim).toArray, pos.toArray)
+
+  /** Segments of an expert built to stress the pre-score bound and the
+    * distance pass: random; a copy of the line (every aligned distance is
+    * 0, so similarities saturate at 1.0); one segment repeated at spread
+    * positions (a row of equal distances and similarities, whose
+    * attention-weighted mean may round above the row's best); no segments
+    * at all; random segments of a count that is not a multiple of a vector
+    * width; or near ties: before each copy of a line segment, at another
+    * position, a copy whose feature 0 is 1e-17, which for a line segment
+    * whose feature 0 is 0 is a distance above 0 with similarity 1.0, so the
+    * row's first best similarity is not at its first smallest distance.
     */
   private def adversarialSegs(line: (Array[Array[Double]], Array[Double])) = for {
-    kind <- Gen.choose(0, 4)
-    rnd  <- segsGen
-    reps <- Gen.choose(1, 12)
+    kind  <- Gen.choose(0, 6)
+    rnd   <- segsGen
+    reps  <- Gen.choose(1, 12)
+    odd   <- Gen.oneOf(0, 1, 3, 5, 7, 12).flatMap(segsOf)
+    moved <- Gen.listOfN(line._2.length, Gen.choose(0.0, 1.0))
   } yield kind match {
     case 0 | 1 => rnd
     case 2     => (line._1.map(_.clone), line._2.clone)
     case 3     => (Array.fill(reps)(rnd._1(0).clone), Array.tabulate(reps)(i => (i + 0.5) / reps))
-    case _     => (Array.empty[Array[Double]], Array.empty[Double])
+    case 4     => (Array.empty[Array[Double]], Array.empty[Double])
+    case 5     => odd
+    case _ =>
+      val near = line._1.map { seg => val c = seg.clone; c(0) = 1e-17; c }
+      (near.zip(line._1).flatMap { case (n, seg) => Array(n, seg.clone) },
+       moved.toArray.zip(line._2).flatMap { case (m, p) => Array(m, p) })
   }
 
   /** A column whose experts are adversarial for the MoE's work skipping:
@@ -362,10 +380,18 @@ class MatcherSpec extends AnyFunSuite {
   /** One to three lines (one segment, in one case in four) and one to three
     * adversarial columns.
     */
-  private val adversarialGen: Gen[(Array[LineEmb], Array[ColumnEmb])] = for {
+  private val adversarialGen: Gen[(Array[LineEmb], Array[ColumnEmb])] = adversarialTables(3)
+
+  /** One to three lines (one segment, in one case in four; feature 0 of
+    * every segment 0, in another) and one to `maxCols` adversarial columns.
+    */
+  private def adversarialTables(maxCols: Int): Gen[(Array[LineEmb], Array[ColumnEmb])] = for {
     m     <- Gen.choose(1, 3)
-    lines <- Gen.listOfN(m, Gen.oneOf(segsGen, segsGen.map { case (s, p) => (s.take(1), p.take(1)) }))
-    nCols <- Gen.choose(1, 3)
+    lines <- Gen.listOfN(m, Gen.frequency(
+               2 -> segsGen,
+               1 -> segsGen.map { case (s, p) => (s.take(1), p.take(1)) },
+               1 -> segsGen.map { case (s, p) => (s.map { seg => val c = seg.clone; c(0) = 0.0; c }, p) }))
+    nCols <- Gen.choose(1, maxCols)
     cols  <- Gen.listOfN(nCols, adversarialColumn(lines.head))
   } yield (lines.map { case (s, p) => LineEmb(s, p, Features.pool(s), 0.0, 1.0) }.toArray, cols.toArray)
 
@@ -383,6 +409,27 @@ class MatcherSpec extends AnyFunSuite {
       pairs.forall(identity) &&
         bits(Array(Matcher.score(chart, tab, cfg))) == bits(Array(Reference.score(chart, tab, cfg)))
     }, 150)
+    assert(aggWins > 0)
+  }
+
+  test("features, ops and score of tables of 1 to 17 adversarial columns equal the reference bit for bit (scalacheck)") {
+    var aggWins = 0
+    Seq(cfg, cfg.copy(useDa = false)).foreach { c =>
+      check(Prop.forAllNoShrink(adversarialTables(17)) { case (lines, cols) =>
+        // the columns' experts copied into one block that spans them all
+        val tab   = TableEmb(1L, cols)
+        val chart = ChartEmb(lines, 0.0, 1.0)
+        val pairs = for (line <- lines; k <- cols.indices) yield {
+          val (f, op)       = Matcher.daPairFeatures(line, tab.cols(k), c)
+          val (fRef, opRef) = Reference.daPairFeatures(line, cols(k), c)
+          if (op != 0) aggWins += 1
+          bits(f) == bits(fRef) && op == opRef
+        }
+        pairs.forall(identity) &&
+          bits(Matcher.features(chart, tab, c)) == bits(Reference.tableFeatures(chart, tab, c)) &&
+          bits(Array(Matcher.score(chart, tab, c))) == bits(Array(Reference.score(chart, tab, c)))
+      }, 80)
+    }
     assert(aggWins > 0)
   }
 
@@ -500,6 +547,37 @@ private object Reference {
     math.exp(-math.sqrt(d / WSum) / 0.35)
   }
 
+  /** `Features.simRow`, the stage one of the kernel before the distance
+    * pass, verbatim: `out(off + n) = sim(a, bs(n))`, four vectors of `bs`
+    * at a time.
+    */
+  def simRow(a: Array[Double], bs: Array[Array[Double]], out: Array[Double], off: Int): Unit = {
+    val nb = bs.length
+    var n  = 0
+    while (n + 4 <= nb) {
+      val b0 = bs(n); val b1 = bs(n + 1); val b2 = bs(n + 2); val b3 = bs(n + 3)
+      var d0 = 0.0; var d1 = 0.0; var d2 = 0.0; var d3 = 0.0
+      var j = 0
+      while (j < a.length) {
+        val w  = W(j)
+        val aj = a(j)
+        val x0 = aj - b0(j); d0 += w * x0 * x0
+        val x1 = aj - b1(j); d1 += w * x1 * x1
+        val x2 = aj - b2(j); d2 += w * x2 * x2
+        val x3 = aj - b3(j); d3 += w * x3 * x3
+        j += 1
+      }
+      out(off + n) = simOfDist(d0)
+      out(off + n + 1) = simOfDist(d1)
+      out(off + n + 2) = simOfDist(d2)
+      out(off + n + 3) = simOfDist(d3)
+      n += 4
+    }
+    while (n < nb) { out(off + n) = sim(a, bs(n)); n += 1 }
+  }
+
+  private def simOfDist(d: Double): Double = math.exp(-math.sqrt(d / WSum) / 0.35)
+
   def pairFeatures(
       lSegs: Array[Array[Double]],
       lPos: Array[Double],
@@ -591,6 +669,10 @@ private object Reference {
     if (bestScore > idScore + Matcher.GateMargin) (bestFeat, bestOp) else (identity, 0)
   }
 
+  /** `maxWeight` is the bitmask DP, which takes at most 16 columns; a
+    * wider table is assigned by `Matching.maxWeight`, which `MatchingSpec`
+    * checks against brute force.
+    */
   def tableFeatures(chart: ChartEmb, tab: TableEmb, cfg: FcmConfig): Array[Double] = {
     val m  = chart.m
     val nc = tab.cols.length
@@ -608,7 +690,7 @@ private object Reference {
       }
       i += 1
     }
-    val (matchW, assign) = DpMatching.maxWeight(u)
+    val (matchW, assign) = if (nc <= 16) DpMatching.maxWeight(u) else Matching.maxWeight(u)
     val b1 = matchW / m
     var b2 = 0.0
     var b3 = 0.0

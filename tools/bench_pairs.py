@@ -3,7 +3,7 @@
 summary that a change's perf claim cites (BENCH_<n>.json).
 
     python3 tools/bench_pairs.py --base REV --head REV --seeds 301 302 ... \
-        --out BENCH_6.json [--trace-seed N] [--workdir DIR]
+        --out BENCH_6.json [--trace-seed N [N ...]] [--workdir DIR]
 
 Run it from the repository root. Each side is exported with `git archive REV`
 into its own directory under --workdir (default .bench_pairs/, gitignored);
@@ -25,8 +25,10 @@ base's median), and `unresolved` holds when the base's interquartile range is
 wider than that bound and not every head run beats every base run, so the
 runs cannot tell a regression within the bound from noise. Failed and
 attempted operations are summed per side.
-With --trace-seed, one traced run per side and workload adds the per-layer
-metrics.
+With --trace-seed, one traced run per side, workload and trace seed adds
+the per-layer metrics (the base first on even trace seeds, the head first on
+odd ones); each side's value of a metric is its median over the trace seeds,
+and with more than one trace seed every run's value is kept as well.
 """
 import argparse
 import json
@@ -115,7 +117,7 @@ def main():
     ap.add_argument("--head", required=True, help="head revision, or WORKTREE")
     ap.add_argument("--seeds", required=True, type=int, nargs="+", help="one seed per pair")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--trace-seed", type=int, default=None)
+    ap.add_argument("--trace-seed", type=int, nargs="+", default=None)
     ap.add_argument("--workdir", default=".bench_pairs")
     args = ap.parse_args()
 
@@ -155,10 +157,20 @@ def main():
             },
         }
         if args.trace_seed is not None:
-            entry["traced"] = {"seed": args.trace_seed}
+            traced = {"base": [], "head": []}
+            for i, seed in enumerate(args.trace_seed):
+                for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+                    res = run(sides[side]["dir"], wl, seed, seconds, trace=True)
+                    traced[side].append({k: v["value"] for k, v in res["metrics"].items()})
+            seeds = args.trace_seed
+            entry["traced"] = {"seed": seeds[0]} if len(seeds) == 1 else {"seeds": seeds}
             for side in ("base", "head"):
-                res = run(sides[side]["dir"], wl, args.trace_seed, seconds, trace=True)
-                entry["traced"][side] = {k: v["value"] for k, v in sorted(res["metrics"].items())}
+                names = sorted(set().union(*traced[side]))
+                entry["traced"][side] = {
+                    k: statistics.median(r[k] for r in traced[side] if k in r) for k in names
+                }
+                if len(seeds) > 1:
+                    entry["traced"][side + "_runs"] = {k: [r.get(k) for r in traced[side]] for k in names}
         workloads[wl] = entry
 
     summary = {
