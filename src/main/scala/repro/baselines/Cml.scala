@@ -26,7 +26,7 @@ object Cml {
     * ±Inf are left out, as `Relevance.prep` leaves them out).
     */
   def seriesVec(raw: Array[Double]): Array[Double] = {
-    val xs    = if (raw.forall(java.lang.Double.isFinite)) raw else raw.filter(java.lang.Double.isFinite)
+    val xs    = Features.finite(raw)
     val z     = Features.znorm(xs)
     val shape = Features.resample(z, ShapeLen)
     val rough = roughnessProfile(z, RoughBins)

@@ -68,8 +68,11 @@ object DeepEye {
     ac + tr - 0.5 * noise
   }
 
-  /** Top-`k` recommended chart specs for a table. */
-  def recommend(cols: Array[Array[Double]], k: Int = 5): Seq[ChartSpec] = {
+  /** The top 5 recommended chart specs for a table (fewer for a table of
+    * fewer than 3 columns): the top column, the top two, the top three,
+    * then the second and third columns alone.
+    */
+  def recommend(cols: Array[Array[Double]]): Seq[ChartSpec] = {
     val ranked = cols.indices.sortBy(i => -columnScore(cols(i))).toVector
     val specs = Seq.newBuilder[ChartSpec]
     specs += ChartSpec(Vector(ranked(0)), None)
@@ -77,7 +80,7 @@ object DeepEye {
     if (ranked.length > 2) specs += ChartSpec(ranked.take(3), None)
     if (ranked.length > 1) specs += ChartSpec(Vector(ranked(1)), None)
     if (ranked.length > 2) specs += ChartSpec(Vector(ranked(2)), None)
-    specs.result().take(k)
+    specs.result()
   }
 }
 
@@ -91,9 +94,12 @@ object DeLn {
     */
   def candidateSize(w: Int, h: Int): (Int, Int) = (w * 5 / 6, h * 5 / 6)
 
-  /** LineNet embeddings of the charts DeepEye recommends for a table. */
-  def candidateVecs(cols: Array[Array[Double]], w: Int, h: Int): Array[Array[Double]] = {
+  /** LineNet embeddings of the charts DeepEye recommends for a table,
+    * over its columns' finite cells.
+    */
+  def candidateVecs(raw: Array[Array[Double]], w: Int, h: Int): Array[Array[Double]] = {
     val (cw, ch) = candidateSize(w, h)
+    val cols     = raw.map(Features.finite)
     DeepEye.recommend(cols).map { spec =>
       LineNet.embed(Raster.render(ChartSpec.underlying(cols, spec), cw, ch))
     }.toArray
@@ -109,12 +115,13 @@ object DeLn {
     best
   }
 
-  /** Opt-LN: the chart rendered from the table's *associated* spec — the
-    * upper bound of VisRec + LineNet, not realisable in practice.
+  /** Opt-LN: the chart rendered from the table's *associated* spec, over
+    * its columns' finite cells — the upper bound of VisRec + LineNet, not
+    * realisable in practice.
     */
   def optVec(cols: Array[Array[Double]], specCols: Array[Int], w: Int, h: Int): Array[Double] = {
     val (cw, ch) = candidateSize(w, h)
     val spec = ChartSpec(specCols.toVector, None)
-    LineNet.embed(Raster.render(ChartSpec.underlying(cols, spec), cw, ch))
+    LineNet.embed(Raster.render(ChartSpec.underlying(cols.map(Features.finite), spec), cw, ch))
   }
 }

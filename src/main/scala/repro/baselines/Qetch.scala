@@ -30,11 +30,12 @@ object Qetch {
     Array.tabulate(ProfileLen - 1)(i => shape(i + 1) - shape(i))
   }
 
-  /** Candidate windows of a column: the whole series plus half-length
-    * windows at several offsets (Qetch searches across scales, locally
-    * re-normalising each window).
+  /** Candidate windows of a column's finite cells: the whole series plus
+    * half-length windows at several offsets (Qetch searches across scales,
+    * locally re-normalising each window).
     */
-  def columnProfiles(col: Array[Double]): Array[Array[Double]] = {
+  def columnProfiles(raw: Array[Double]): Array[Array[Double]] = {
+    val col = Features.finite(raw)
     val n   = col.length
     val out = Array.newBuilder[Array[Double]]
     out += slopeProfile(col)

@@ -11,15 +11,8 @@ import repro.vis.ExtractedChart
 object ChartEncoder {
 
   def encodeLine(values: Array[Double], cfg: FcmConfig): LineEmb = {
-    var mn = Double.PositiveInfinity
-    var mx = Double.NegativeInfinity
-    values.foreach { v =>
-      if (v < mn) mn = v
-      if (v > mx) mx = v
-    }
-    val z = Features.znorm(values)
-    val (segs, pos) = Features.segmentAll(z, cfg.p1)
-    LineEmb(segs, pos, Features.pool(segs), mn, mx)
+    val (segs, pos) = Features.segmentAll(Features.znorm(values), cfg.p1)
+    LineEmb(segs, pos, Features.pool(segs))
   }
 
   def encode(ex: ExtractedChart, cfg: FcmConfig): ChartEmb =

@@ -15,9 +15,10 @@ import repro.vis.AggOp
   *  - the MoE gate consumes these variants inside `Matcher`.
   *
   * A table's segments, base and views, are stored once, in the table's
-  * dimension-major `ExpertBlock`, which `encodeTable` builds with the rest
-  * of the encoding; the kernel then reads every expert of the table in one
-  * pass per line segment.
+  * dimension-major `ExpertBlock`, and the kernel reads every expert of the
+  * table in one pass per line segment. `experts` computes each column's raw
+  * stats and experts; `encodeTable` and `encodeColumn` both hand them to
+  * `TableEmb.apply`, which builds the block with the rest of the encoding.
   */
 object DatasetEncoder {
 
@@ -32,40 +33,28 @@ object DatasetEncoder {
     * so the dropped variant could never win.
     */
   def encodeColumn(colIdx: Int, column: Array[Double], cfg: FcmConfig): ColumnEmb =
-    assemble(Array(encode(colIdx, column, cfg)))(0)
+    TableEmb(-1L, Array(experts(colIdx, column, cfg))).cols(0)
 
   /** Encode a whole table (all numeric columns) into one block. */
   def encodeTable(tableId: Long, cols: Array[Array[Double]], cfg: FcmConfig): TableEmb =
-    TableEmb(tableId, assemble(cols.zipWithIndex.map { case (c, i) => encode(i, c, cfg) }))
+    TableEmb(tableId, cols.zipWithIndex.map { case (c, i) => experts(i, c, cfg) })
 
   /** A column's raw stats and its experts: the base segments as a view
     * with op 0, then the materialised views.
     */
-  private final case class Encoded(colIdx: Int, nRows: Int, min: Double, max: Double, sum: Double, experts: Array[DaVariant])
-
-  /** The columns, sharing one block in the given order. */
-  private def assemble(cols: Array[Encoded]): Array[ColumnEmb] = {
-    val block = ExpertBlock(cols.map(_.experts))
-    cols.zipWithIndex.map { case (c, i) => new ColumnEmb(c.colIdx, c.nRows, c.min, c.max, c.sum, block, i) }
-  }
-
-  private def encode(colIdx: Int, column: Array[Double], cfg: FcmConfig): Encoded = {
-    var mn     = Double.PositiveInfinity
-    var mx     = Double.NegativeInfinity
-    var sm     = 0.0
-    var finite = 0
-    var i      = 0
-    while (i < column.length) {
-      val v = column(i)
-      if (java.lang.Double.isFinite(v)) {
-        if (v < mn) mn = v
-        if (v > mx) mx = v
-        sm += v
-        finite += 1
-      }
+  private[core] def experts(colIdx: Int, column: Array[Double], cfg: FcmConfig): ColumnExperts = {
+    val finiteCells = Features.finite(column)
+    var mn = Double.PositiveInfinity
+    var mx = Double.NegativeInfinity
+    var sm = 0.0
+    var i  = 0
+    while (i < finiteCells.length) {
+      val v = finiteCells(i)
+      if (v < mn) mn = v
+      if (v > mx) mx = v
+      sm += v
       i += 1
     }
-    val finiteCells = if (finite == column.length) column else column.filter(java.lang.Double.isFinite)
     // Cells large enough to overflow the z-normalisation are scaled by a
     // power of two first, so the views' aggregates do not overflow either;
     // the z-values are unchanged by the scaling. min, max and sum stay raw.
@@ -89,6 +78,6 @@ object DatasetEncoder {
         variants += DaVariant(op.id, w, s, p)
       }
     }
-    Encoded(colIdx, values.length, mn, mx, sm, DaVariant(0, 0, segs, pos) +: variants.result())
+    ColumnExperts(colIdx, values.length, mn, mx, sm, DaVariant(0, 0, segs, pos) +: variants.result())
   }
 }

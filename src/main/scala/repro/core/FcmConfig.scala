@@ -50,31 +50,24 @@ final case class FcmConfig(
 }
 
 /** Segment-level embedding of one line of a chart. */
-final case class LineEmb(
-    segs: Array[Array[Double]],
-    pos: Array[Double],
-    pooled: Array[Double],
-    rawMin: Double,
-    rawMax: Double
-) extends Serializable
+final case class LineEmb(segs: Array[Array[Double]], pos: Array[Double], pooled: Array[Double]) extends Serializable
 
 /** Segment-level embedding of a whole chart plus the tick-derived y-range. */
 final case class ChartEmb(lines: Array[LineEmb], yLo: Double, yHi: Double) extends Serializable {
   def m: Int = lines.length
 }
 
-/** One DA "expert" variant of a column: the column aggregated by operator
-  * `op` with window `window`, then z-normalised and segmented. Plays the
-  * role of the transformation layer output at one HMRL scale.
+/** One MoE expert of a column. A DA view (op > 0) is the column aggregated
+  * by operator `op` with window `window`, then z-normalised and segmented:
+  * the transformation layer output at one HMRL scale. The identity expert
+  * (op 0, window 0) holds the column's base segments.
   */
 final case class DaVariant(
     op: Int,
     window: Int,
     segs: Array[Array[Double]],
     pos: Array[Double]
-) extends Serializable {
-  lazy val pooled: Array[Double] = Features.pool(segs)
-}
+) extends Serializable
 
 /** The segments of every MoE expert of a table's columns, stored
   * dimension-major: `feats(k)(n)` is feature k of segment n. The experts
@@ -88,10 +81,12 @@ final case class DaVariant(
   * `Matcher` computes a line segment's distance to every segment of the
   * block in one pass over each feature array, a loop HotSpot vectorises.
   * The block is the only store of the segment values: `ColumnEmb.segs` and
-  * `ColumnEmb.variants` are rebuilt from it.
+  * `ColumnEmb.variants` are rebuilt from it. `TableEmb.apply` builds the
+  * block of every encoded table and column; `Matcher.pairFeatures` builds
+  * one for a bare list of column segments.
   *
   * @param pooled  each expert's pooled vector (`Features.pool` of its
-  *                segments)
+  *                segments), computed when the block is built
   * @param ops     each expert's operator id, 0 for an identity
   * @param windows each expert's window, 0 for an identity
   */
@@ -104,8 +99,6 @@ final class ExpertBlock private (
     val windows: Array[Int],
     val views: Array[Int]
 ) extends Serializable {
-
-  def nCols: Int = views.length - 1
 
   /** Expert `e` as a view: its segments copied back out row-major. */
   def expert(e: Int): DaVariant = {
@@ -121,7 +114,7 @@ object ExpertBlock {
   /** The block of `cols`, each given as its identity expert followed by
     * its views.
     */
-  def apply(cols: Array[Array[DaVariant]]): ExpertBlock = {
+  private[core] def apply(cols: Array[Array[DaVariant]]): ExpertBlock = {
     val order = cols.map(_.head) ++ cols.flatMap(_.tail)
     val views = cols.scanLeft(cols.length)(_ + _.length - 1)
     val starts = order.scanLeft(0)(_ + _.segs.length)
@@ -139,15 +132,22 @@ object ExpertBlock {
       }
       e += 1
     }
-    new ExpertBlock(feats, pos, starts, order.map(_.pooled), order.map(_.op), order.map(_.window), views)
+    new ExpertBlock(feats, pos, starts, order.map(x => Features.pool(x.segs)), order.map(_.op), order.map(_.window), views)
   }
 }
 
+/** One column as `DatasetEncoder` computes it, before it is stored: its
+  * raw stats and its experts, the identity first, then the materialised
+  * views. `TableEmb.apply` builds encoded tables and columns from these.
+  */
+final case class ColumnExperts(colIdx: Int, nRows: Int, min: Double, max: Double, sum: Double, experts: Array[DaVariant])
+
 /** Segment-level embedding of one column, with raw stats for the
   * range-overlap feature and the interval-tree index. Its segments live in
-  * `block`, in which it is column `at`.
+  * `block`, in which it is column `at`. Only `TableEmb.apply` builds one; a
+  * lone column is the one column of its table.
   */
-final class ColumnEmb(
+final class ColumnEmb private[core] (
     val colIdx: Int,
     val nRows: Int,
     val min: Double,
@@ -164,24 +164,6 @@ final class ColumnEmb(
 
   /** The materialised DA views, rebuilt from the block. */
   def variants: Array[DaVariant] = Array.range(block.views(at), block.views(at + 1)).map(block.expert)
-
-  private[core] def experts: Array[DaVariant] = block.expert(at) +: variants
-}
-
-object ColumnEmb {
-
-  /** A column in a block of its own. */
-  def apply(
-      colIdx: Int,
-      nRows: Int,
-      min: Double,
-      max: Double,
-      sum: Double,
-      segs: Array[Array[Double]],
-      pos: Array[Double],
-      variants: Array[DaVariant]
-  ): ColumnEmb =
-    new ColumnEmb(colIdx, nRows, min, max, sum, ExpertBlock(Array(DaVariant(0, 0, segs, pos) +: variants)), 0)
 }
 
 /** Segment-level embedding of a whole table: its columns share `block`, in
@@ -192,18 +174,12 @@ final class TableEmb private (val tableId: Long, val cols: Array[ColumnEmb], val
 
 object TableEmb {
 
-  /** A table of `cols`: their block when they already share one in column
-    * order, as `DatasetEncoder.encodeTable` builds them; otherwise their
-    * experts copied into a new block.
+  /** The table of `cols`, whose experts it stores in one block, columns in
+    * order. Every encoded table and column is made here.
     */
-  def apply(tableId: Long, cols: Array[ColumnEmb]): TableEmb = {
-    val shared = cols.nonEmpty && cols(0).block.nCols == cols.length &&
-      cols.indices.forall(c => (cols(c).block eq cols(0).block) && cols(c).at == c)
-    if (shared) new TableEmb(tableId, cols, cols(0).block)
-    else {
-      val block = ExpertBlock(cols.map(_.experts))
-      val moved = cols.zipWithIndex.map { case (c, i) => new ColumnEmb(c.colIdx, c.nRows, c.min, c.max, c.sum, block, i) }
-      new TableEmb(tableId, moved, block)
-    }
+  def apply(tableId: Long, cols: Array[ColumnExperts]): TableEmb = {
+    val block = ExpertBlock(cols.map(_.experts))
+    new TableEmb(tableId, cols.zipWithIndex.map { case (c, i) => new ColumnEmb(c.colIdx, c.nRows, c.min, c.max, c.sum, block, i) }, block)
   }
 }
+

@@ -24,6 +24,15 @@ object Features {
     Array(1.0, 0.8, 0.7, 0.7, 1.0, 0.9) ++ Array.fill(ShapePts)(0.8)
   private val WSum: Double = W.sum
 
+  /** The finite cells of `xs` in order, NaN and ±Inf left out: `xs` itself
+    * when every cell is finite.
+    */
+  def finite(xs: Array[Double]): Array[Double] = {
+    var i = 0 // a primitive loop: `ArrayOps.forall` boxes every cell
+    while (i < xs.length && java.lang.Double.isFinite(xs(i))) i += 1
+    if (i == xs.length) xs else xs.filter(java.lang.Double.isFinite)
+  }
+
   /** z-normalise a series (zero mean, unit variance; flat series map to 0).
     * A series whose mean or variance overflows, or whose standard deviation
     * is below the flatness threshold while its largest |cell| is below 1,

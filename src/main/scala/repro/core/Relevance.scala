@@ -16,10 +16,8 @@ object Relevance {
     * z-normalise, then downsample. A series of finite cells large enough
     * to overflow keeps its shape (`Features.znorm`).
     */
-  def prep(xs: Array[Double]): Array[Double] = {
-    val finite = if (xs.forall(java.lang.Double.isFinite)) xs else xs.filter(java.lang.Double.isFinite)
-    Dtw.downsample(Features.znorm(finite), MaxDtwLen)
-  }
+  def prep(xs: Array[Double]): Array[Double] =
+    Dtw.downsample(Features.znorm(Features.finite(xs)), MaxDtwLen)
 
   /** Rel over already-prepared (z-normalised, downsampled) series. */
   def relPrepared(d: Array[Array[Double]], cols: Array[Array[Double]]): Double = {

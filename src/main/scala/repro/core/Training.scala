@@ -62,17 +62,15 @@ object Training {
     l
   }
 
+  /** Learning rate and L2 penalty of `trainLogistic`. */
+  private val LearningRate = 1.0
+  private val L2           = 1e-4
+
   /** Full-batch gradient descent on Eq. 2 with a small L2 penalty.
     * Deterministic given the example order. Returns the learned weights
     * (bias first, length dim+1).
     */
-  def trainLogistic(
-      examples: Seq[Example],
-      dim: Int,
-      epochs: Int = 400,
-      lr: Double = 1.0,
-      l2: Double = 1e-4
-  ): Array[Double] = {
+  def trainLogistic(examples: Seq[Example], dim: Int, epochs: Int = 400): Array[Double] = {
     val w = new Array[Double](dim + 1)
     if (examples.isEmpty) return w
     val nPos = math.max(1, examples.count(_.y > 0.5))
@@ -92,7 +90,7 @@ object Training {
       }
       var i = 0
       while (i < w.length) {
-        w(i) -= lr * (g(i) + l2 * w(i))
+        w(i) -= LearningRate * (g(i) + L2 * w(i))
         i += 1
       }
       epoch += 1
@@ -112,6 +110,9 @@ object Training {
       rawCols: Array[Array[Double]]
   ) extends Serializable
 
+  /** Seed of `trainHead`'s shuffle and negative sampling. */
+  private val Seed = 7L
+
   /** Build labelled examples from training packs with mini-batch negative
     * mining, then fit the head. Table embeddings are encoded once under
     * `cfg`. Returns the trained head weights.
@@ -121,11 +122,10 @@ object Training {
       cfg: FcmConfig,
       nNeg: Int,
       strategy: NegStrategy,
-      seed: Long = 7L,
       batchSize: Int = 16,
       epochs: Int = 400
   ): Array[Double] = {
-    val rng = new Random(seed)
+    val rng = new Random(Seed)
     val charts = packs.map(p =>
       ChartEncoder.encode(repro.vis.ExtractedChart(p.extractedLines, p.yLo, p.yHi), cfg)
     )

@@ -32,6 +32,13 @@ class IntegrationSpec extends SparkSpec {
     }
   }
 
+  test("the unit experiment's rankings, head weights and score bits keep their digest") {
+    // pinned as BenchDataSpec pins the benchmark's digest: a change that
+    // moves a ranking, a head weight or a score bit fails here, and one
+    // meant to move them updates the constant and says why
+    assert(RankDigest.digest(exp) == "e6a2e568bdf6a636f4e063fbd92ac065db1aa29b8d9234e28a973dc666117d9f")
+  }
+
   test("trained FCM head has finite weights of the right arity") {
     assert(exp.fcmCfg.weights.length == exp.defaultCfg.featureDim + 1)
     assert(exp.fcmCfg.weights.forall(_.isFinite))

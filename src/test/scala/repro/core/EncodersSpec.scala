@@ -1,6 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropCheck.check
 import repro.vis.{AggOp, ExtractedChart, Extractor, Raster}
 
 import scala.util.Random
@@ -98,6 +100,41 @@ class EncodersSpec extends AnyFunSuite {
     assert(t.cols.map(_.colIdx).toSeq == Seq(0, 1, 2))
   }
 
+  test("a table's block reads back the experts it was built from, and encodeColumn equals encodeTable's column (scalacheck)") {
+    // empty, short (no DA view) and longer random walks, one cell in 40 NaN
+    val gen = for {
+      seed <- Gen.choose(0, 100000)
+      rows <- Gen.choose(1, 5).flatMap(Gen.listOfN(_, Gen.oneOf(Gen.const(0), Gen.choose(1, 15), Gen.choose(16, 600))))
+    } yield {
+      val r = new Random(seed)
+      rows.toArray.map { n => var x = 0.0; Array.fill(n) { x += r.nextGaussian(); if (r.nextInt(40) == 0) Double.NaN else x } }
+    }
+    def raw(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    def same(a: DaVariant, b: DaVariant): Boolean =
+      a.op == b.op && a.window == b.window && a.segs.toSeq.map(raw) == b.segs.toSeq.map(raw) && raw(a.pos) == raw(b.pos)
+    def sameViews(a: Array[DaVariant], b: Array[DaVariant]): Boolean =
+      a.length == b.length && a.indices.forall(k => same(a(k), b(k)))
+    Seq(FcmConfig(), FcmConfig(useDa = false)).foreach { cfg =>
+      check(Prop.forAllNoShrink(gen) { cols =>
+        val experts = cols.zipWithIndex.map { case (c, i) => DatasetEncoder.experts(i, c, cfg) }
+        val tab     = TableEmb(5L, experts)
+        val b       = tab.block
+        val enc     = DatasetEncoder.encodeTable(5L, cols, cfg)
+        cols.indices.forall { i =>
+          val (col, x, t) = (tab.cols(i), experts(i), enc.cols(i))
+          val one = DatasetEncoder.encodeColumn(i, cols(i), cfg)
+          val pooled = (i +: Array.range(b.views(i), b.views(i + 1))).map(b.pooled)
+          col.colIdx == x.colIdx && col.nRows == x.nRows && raw(Array(col.min, col.max, col.sum)) == raw(Array(x.min, x.max, x.sum)) &&
+            same(DaVariant(0, 0, col.segs, col.pos), x.experts(0)) && sameViews(col.variants, x.experts.tail) &&
+            pooled.toSeq.map(raw) == x.experts.toSeq.map(v => raw(Features.pool(v.segs))) &&
+            one.colIdx == t.colIdx && one.nRows == t.nRows &&
+            raw(Array(one.min, one.max, one.sum)) == raw(Array(t.min, t.max, t.sum)) && raw(one.pooled) == raw(t.pooled) &&
+            same(DaVariant(0, 0, one.segs, one.pos), DaVariant(0, 0, t.segs, t.pos)) && sameViews(one.variants, t.variants)
+        }
+      }, 60)
+    }
+  }
+
   test("chart encoder segments each extracted line by p1") {
     val s   = walk(256)
     val img = Raster.render(Array(s), 480, 240)
@@ -109,11 +146,11 @@ class EncodersSpec extends AnyFunSuite {
     assert(emb.yLo < emb.yHi)
   }
 
-  test("chart encoder preserves raw line range for the index") {
+  test("chart encoder keeps the tick-derived y-range for the index") {
     val s = Array.tabulate(64)(i => 100.0 + i)
     val img = Raster.render(Array(s), 240, 120)
     val emb = ChartEncoder.encode(Extractor.extract(img), FcmConfig())
-    assert(emb.lines(0).rawMin < 110.0 && emb.lines(0).rawMax > 150.0)
+    assert(emb.yLo < 110.0 && emb.yHi > 150.0)
   }
 
   test("encoding is deterministic") {

@@ -22,6 +22,13 @@ class MatcherSpec extends AnyFunSuite {
     ChartEncoder.encode(Extractor.extract(img), c)
   }
 
+  /** A column built alone, as the one column of its table. */
+  private def lone(c: ColumnExperts): ColumnEmb = TableEmb(0L, Array(c)).cols(0)
+
+  /** A column of 4 rows with the given raw stats and no segments. */
+  private def statsOnly(min: Double, max: Double, sum: Double): ColumnEmb =
+    lone(ColumnExperts(0, 4, min, max, sum, Array(DaVariant(0, 0, Array.empty, Array.empty))))
+
   test("pairFeatures: matching series scores much higher than unrelated") {
     val s = walk(512, 1)
     val chart = chartOf(Array(s))
@@ -81,12 +88,12 @@ class MatcherSpec extends AnyFunSuite {
 
   test("rangeOverlap: containment, disjoint and DA sum-extension") {
     val chart = ChartEmb(Array.empty, 0.0, 10.0)
-    val within   = ColumnEmb(0, 4, 2.0, 8.0, 20.0, Array.empty, Array.empty, Array.empty)
-    val disjoint = ColumnEmb(0, 4, 100.0, 200.0, 600.0, Array.empty, Array.empty, Array.empty)
+    val within   = statsOnly(2.0, 8.0, 20.0)
+    val disjoint = statsOnly(100.0, 200.0, 600.0)
     assert(Matcher.rangeOverlap(chart, within, useDa = false) == 0.6)
     assert(Matcher.rangeOverlap(chart, disjoint, useDa = false) == 0.0)
     // sum reaches down into the chart range when aggregation is considered
-    val sumReaches = ColumnEmb(0, 4, 100.0, 200.0, 5.0, Array.empty, Array.empty, Array.empty)
+    val sumReaches = statsOnly(100.0, 200.0, 5.0)
     assert(Matcher.rangeOverlap(chart, sumReaches, useDa = true) > 0.0)
   }
 
@@ -222,8 +229,8 @@ class MatcherSpec extends AnyFunSuite {
       val variants = vars.zip(ops).zipWithIndex.map { case (((s, p), op), i) =>
         if (i == hit) DaVariant(op, 4, lSegs.map(_.clone), lPos.clone) else DaVariant(op, 4, s, p)
       }
-      (LineEmb(lSegs, lPos, Features.pool(lSegs), 0.0, 1.0),
-       ColumnEmb(0, 64, 0.0, 1.0, 1.0, cSegs, cPos, variants.toArray))
+      (LineEmb(lSegs, lPos, Features.pool(lSegs)),
+       lone(ColumnExperts(0, 64, 0.0, 1.0, 1.0, DaVariant(0, 0, cSegs, cPos) +: variants.toArray)))
     }
     var aggWins = 0
     Seq(cfg, cfg.copy(useDa = false)).foreach { c =>
@@ -358,7 +365,7 @@ class MatcherSpec extends AnyFunSuite {
     * (its pre-score ties the running best) or the column itself (it ties
     * the identity expert, so it can never clear the gate).
     */
-  private def adversarialColumn(line: (Array[Array[Double]], Array[Double])): Gen[ColumnEmb] = for {
+  private def adversarialColumn(line: (Array[Array[Double]], Array[Double])): Gen[ColumnExperts] = for {
     (cSegs, cPos) <- Gen.oneOf(segsGen, adversarialSegs(line).suchThat(_._1.nonEmpty))
     nVar  <- Gen.choose(0, 8)
     segs  <- Gen.listOfN(nVar, adversarialSegs(line))
@@ -374,18 +381,18 @@ class MatcherSpec extends AnyFunSuite {
       }
       variants(i) = DaVariant(ops(i), 4, s, p)
     }
-    ColumnEmb(0, 64, 0.0, 1.0, 1.0, cSegs, cPos, variants)
+    ColumnExperts(0, 64, 0.0, 1.0, 1.0, DaVariant(0, 0, cSegs, cPos) +: variants)
   }
 
   /** One to three lines (one segment, in one case in four) and one to three
     * adversarial columns.
     */
-  private val adversarialGen: Gen[(Array[LineEmb], Array[ColumnEmb])] = adversarialTables(3)
+  private val adversarialGen: Gen[(Array[LineEmb], Array[ColumnExperts])] = adversarialTables(3)
 
   /** One to three lines (one segment, in one case in four; feature 0 of
     * every segment 0, in another) and one to `maxCols` adversarial columns.
     */
-  private def adversarialTables(maxCols: Int): Gen[(Array[LineEmb], Array[ColumnEmb])] = for {
+  private def adversarialTables(maxCols: Int): Gen[(Array[LineEmb], Array[ColumnExperts])] = for {
     m     <- Gen.choose(1, 3)
     lines <- Gen.listOfN(m, Gen.frequency(
                2 -> segsGen,
@@ -393,11 +400,13 @@ class MatcherSpec extends AnyFunSuite {
                1 -> segsGen.map { case (s, p) => (s.map { seg => val c = seg.clone; c(0) = 0.0; c }, p) }))
     nCols <- Gen.choose(1, maxCols)
     cols  <- Gen.listOfN(nCols, adversarialColumn(lines.head))
-  } yield (lines.map { case (s, p) => LineEmb(s, p, Features.pool(s), 0.0, 1.0) }.toArray, cols.toArray)
+  } yield (lines.map { case (s, p) => LineEmb(s, p, Features.pool(s)) }.toArray, cols.toArray)
 
   test("daPairFeatures and score equal the reference bit for bit on adversarial experts (scalacheck)") {
     var aggWins = 0
-    check(Prop.forAllNoShrink(adversarialGen) { case (lines, cols) =>
+    check(Prop.forAllNoShrink(adversarialGen) { case (lines, experts) =>
+      // each column alone in its own block, then all of them in one table
+      val cols  = experts.map(lone)
       val pairs = for (line <- lines; col <- cols) yield {
         val (f, op)       = Matcher.daPairFeatures(line, col, cfg)
         val (fRef, opRef) = Reference.daPairFeatures(line, col, cfg)
@@ -405,7 +414,7 @@ class MatcherSpec extends AnyFunSuite {
         bits(f) == bits(fRef) && op == opRef
       }
       val chart = ChartEmb(lines, 0.0, 1.0)
-      val tab   = TableEmb(1L, cols)
+      val tab   = TableEmb(1L, experts)
       pairs.forall(identity) &&
         bits(Array(Matcher.score(chart, tab, cfg))) == bits(Array(Reference.score(chart, tab, cfg)))
     }, 150)
@@ -415,9 +424,11 @@ class MatcherSpec extends AnyFunSuite {
   test("features, ops and score of tables of 1 to 17 adversarial columns equal the reference bit for bit (scalacheck)") {
     var aggWins = 0
     Seq(cfg, cfg.copy(useDa = false)).foreach { c =>
-      check(Prop.forAllNoShrink(adversarialTables(17)) { case (lines, cols) =>
-        // the columns' experts copied into one block that spans them all
-        val tab   = TableEmb(1L, cols)
+      check(Prop.forAllNoShrink(adversarialTables(17)) { case (lines, experts) =>
+        // the columns' experts in one block that spans them all; the
+        // reference reads each column from a block of its own
+        val cols  = experts.map(lone)
+        val tab   = TableEmb(1L, experts)
         val chart = ChartEmb(lines, 0.0, 1.0)
         val pairs = for (line <- lines; k <- cols.indices) yield {
           val (f, op)       = Matcher.daPairFeatures(line, tab.cols(k), c)
@@ -499,7 +510,7 @@ private object Reference {
     * aggregates a column whose z-normalisation would overflow scaled by
     * `Features.overflowScale`, so both encoders see the same finite views.
     */
-  def encodeColumn(colIdx: Int, column: Array[Double], cfg: FcmConfig): ColumnEmb = {
+  def encodeColumn(colIdx: Int, column: Array[Double], cfg: FcmConfig): ColumnExperts = {
     val scale  = Features.overflowScale(column)
     val values = if (scale == 1.0) column else column.map(_ * scale)
     var mn = Double.PositiveInfinity
@@ -526,7 +537,7 @@ private object Reference {
         val (s, p) = Features.segmentAll(za, segLen)
         DaVariant(op.id, w, s, p)
       }
-    ColumnEmb(colIdx, values.length, mn, mx, sm, segs, pos, variants)
+    ColumnExperts(colIdx, values.length, mn, mx, sm, DaVariant(0, 0, segs, pos) +: variants)
   }
 
   def encodeTable(tableId: Long, cols: Array[Array[Double]], cfg: FcmConfig): TableEmb =

@@ -15,7 +15,7 @@ class HybridIndexSpec extends AnyFunSuite {
   private def vec(): Array[Double] = Array.fill(Features.Dim)(rng.nextGaussian())
 
   private def chart(yLo: Double, yHi: Double, vecs: Array[Double]*): ChartEmb =
-    ChartEmb(vecs.toArray.map(v => LineEmb(Array(v), Array(0.5), v, yLo, yHi)), yLo, yHi)
+    ChartEmb(vecs.toArray.map(v => LineEmb(Array(v), Array(0.5), v)), yLo, yHi)
 
   test("NoIndex returns the whole repository") {
     val keys = (0 until 20).map(i => key(i, i * 10.0, i * 10.0 + 5, vec()))
