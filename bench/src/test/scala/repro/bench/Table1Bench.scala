@@ -8,17 +8,13 @@ class Table1Bench extends SparkSpec {
   test("Table I: benchmark statistics") {
     val e = BenchCtx.full
     BenchCtx.banner("Table I: statistical properties of the benchmark (paper: 200 queries / 10,161 tables)")
-    val buckets = Seq("1", "2-4", "5-7", ">7")
-    println("%-12s%-8s".format("", "Overall") + buckets.map(b => "%-8s".format(b)).mkString)
-    e.tableI().foreach { case (who, counts) =>
-      println("%-12s%-8d".format(who, counts.values.sum) +
-        buckets.map(b => "%-8d".format(counts(b))).mkString)
-    }
-    val t = e.tableI().toMap
+    val rows = e.tableI()
+    println(e.renderTableI(rows))
+    val t = rows.toMap
     assert(t("Query").values.sum == e.bench.queries.length)
     assert(t("Repository").values.sum == e.bench.repo.length)
     // every bucket is populated, as in the paper's Table I
-    buckets.foreach { b =>
+    BenchData.mBuckets.foreach { b =>
       assert(t("Query")(b) > 0, s"query bucket $b")
       assert(t("Repository")(b) > 0, s"repository bucket $b")
     }

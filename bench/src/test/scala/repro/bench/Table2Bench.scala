@@ -14,7 +14,7 @@ class Table2Bench extends SparkSpec {
     val e = BenchCtx.full
     BenchCtx.banner("Table II: effectiveness (prec@%d / ndcg@%d)".format(e.cfg.k, e.cfg.k))
     val rows = e.tableII()
-    println(e.renderMethodTable(rows, "prec/ndcg"))
+    println(e.renderMethodTable(rows))
 
     val byGroup = rows.toMap
     def m(group: String, method: String) = byGroup(group).find(_.method == method).get

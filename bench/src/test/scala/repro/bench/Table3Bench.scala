@@ -12,7 +12,7 @@ class Table3Bench extends SparkSpec {
     val e = BenchCtx.full
     BenchCtx.banner("Table III: overall effectiveness w.r.t. varying M")
     val rows = e.tableIII()
-    println(e.renderMethodTable(rows, "prec/ndcg"))
+    println(e.renderMethodTable(rows))
 
     val byBucket = rows.toMap
     // shape: FCM is competitive-or-best in every bucket among the

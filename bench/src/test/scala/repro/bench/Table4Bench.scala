@@ -13,12 +13,7 @@ class Table4Bench extends SparkSpec {
     val e = BenchCtx.full
     BenchCtx.banner("Table IV: DA breakdown — operator x aggregation window (prec@%d)".format(e.cfg.k))
     val t = e.tableIV()
-    val buckets = Seq("0-10", "20-40", "40-60", "60-80", "80-100")
-    println("%-6s".format("") + buckets.map(b => "%-10s".format(b)).mkString)
-    Seq("min", "max", "sum", "avg").foreach { op =>
-      println("%-6s".format(op) +
-        buckets.map(b => "%-10s".format(t.get((op, b)).map(e.fmt).getOrElse("-"))).mkString)
-    }
+    println(e.renderTableIV(t))
 
     t.values.foreach(v => assert(v >= 0.0 && v <= 1.0))
     // shape: small windows (within P2) beat the largest bucket on average

@@ -11,12 +11,8 @@ class Table5Bench extends SparkSpec {
   test("Table V: effectiveness of FCM vs FCM-HCMAN") {
     val e = BenchCtx.full
     BenchCtx.banner("Table V: FCM vs FCM-HCMAN (prec@%d / ndcg@%d)".format(e.cfg.k, e.cfg.k))
-    println("%-10s%-10s%-10s%-12s%-12s".format("M", "FCM p", "FCM n", "HCMAN- p", "HCMAN- n"))
     val rows = e.tableV()
-    rows.foreach { case (label, f, h) =>
-      println("%-10s%-10s%-10s%-12s%-12s"
-        .format(label, e.fmt(f.prec), e.fmt(f.ndcg), e.fmt(h.prec), e.fmt(h.ndcg)))
-    }
+    println(e.renderTableV(rows))
     // shape: fine-grained matching beats pooled matching overall
     val overall = rows.find(_._1 == "Overall").get
     assert(overall._2.prec >= overall._3.prec,

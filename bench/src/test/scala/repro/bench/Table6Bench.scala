@@ -11,12 +11,8 @@ class Table6Bench extends SparkSpec {
   test("Table VI: impact of the DA-related layers") {
     val e = BenchCtx.full
     BenchCtx.banner("Table VI: FCM vs FCM-DA (prec@%d / ndcg@%d)".format(e.cfg.k, e.cfg.k))
-    println("%-12s%-10s%-10s%-12s%-12s".format("Queries", "FCM p", "FCM n", "FCM-DA p", "FCM-DA n"))
     val rows = e.tableVI()
-    rows.foreach { case (label, f, d) =>
-      println("%-12s%-10s%-10s%-12s%-12s"
-        .format(label, e.fmt(f.prec), e.fmt(f.ndcg), e.fmt(d.prec), e.fmt(d.ndcg)))
-    }
+    println(e.renderTableVI(rows))
     val byLabel = rows.map(r => r._1 -> r).toMap
     // shape: the DA layers matter on DA queries...
     val (_, fDa, dDa) = byLabel("With DA")

@@ -12,13 +12,8 @@ class Table7Bench extends SparkSpec {
   test("Table VII: the impact of different P1 and P2") {
     val e = BenchCtx.small
     BenchCtx.banner("Table VII: P1 x P2 sweep (prec@%d, reduced scale)".format(e.cfg.k))
-    val p1s = Seq(15, 30, 60, 120, 240)
-    val p2s = Seq(16, 32, 64, 128, 256)
-    val grid = e.tableVII(p1s, p2s)
-    println("%-8s".format("P1\\P2") + p2s.map(p => "%-10d".format(p)).mkString)
-    p1s.foreach { p1 =>
-      println("%-8d".format(p1) + p2s.map(p2 => "%-10s".format(e.fmt(grid((p1, p2))))).mkString)
-    }
+    val grid = e.tableVII()
+    println(e.renderTableVII(grid))
     assert(grid.size == 25)
     grid.values.foreach(v => assert(v >= 0.0 && v <= 1.0))
     // shape: the default configuration is competitive with the grid's best

@@ -13,10 +13,7 @@ class Table8Bench extends SparkSpec {
     val e = BenchCtx.full
     BenchCtx.banner("Table VIII: indexing strategies (prec@%d / ndcg@%d / time / candidates)".format(e.cfg.k, e.cfg.k))
     val rows = e.tableVIII()
-    println("%-16s%-10s%-10s%-12s%-14s".format("Strategy", "prec", "ndcg", "query ms", "avg cands"))
-    rows.foreach { r =>
-      println("%-16s%-10s%-10s%-12d%-14.1f".format(r.strategy, e.fmt(r.prec), e.fmt(r.ndcg), r.timeMs, r.avgCandidates))
-    }
+    println(e.renderTableVIII(rows))
     val byName = rows.map(r => r.strategy -> r).toMap
     // the interval tree never eliminates a relevant dataset
     assert(byName("Interval Tree").prec >= byName("No Index").prec - 0.02)

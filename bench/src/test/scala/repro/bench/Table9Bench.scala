@@ -12,10 +12,8 @@ class Table9Bench extends SparkSpec {
   test("Table IX: the impact of the number of negative samples") {
     val e = BenchCtx.small
     BenchCtx.banner("Table IX: N- sweep (prec@%d / ndcg@%d, reduced scale)".format(e.cfg.k, e.cfg.k))
-    val rows = e.tableIX(1 to 8)
-    println("%-8s".format("N-") + rows.map(r => "%-8d".format(r._1)).mkString)
-    println("%-8s".format("prec") + rows.map(r => "%-8s".format(e.fmt(r._2))).mkString)
-    println("%-8s".format("ndcg") + rows.map(r => "%-8s".format(e.fmt(r._3))).mkString)
+    val rows = e.tableIX()
+    println(e.renderTableIX(rows))
     rows.foreach { case (_, p, n) =>
       assert(p >= 0.0 && p <= 1.0)
       assert(n >= 0.0 && n <= 1.0)

@@ -69,11 +69,13 @@ object DeepEye {
   }
 
   /** The top 5 recommended chart specs for a table (fewer for a table of
-    * fewer than 3 columns): the top column, the top two, the top three,
-    * then the second and third columns alone.
+    * fewer than 3 columns, none for a table with no columns): the top
+    * column, the top two, the top three, then the second and third columns
+    * alone.
     */
   def recommend(cols: Array[Array[Double]]): Seq[ChartSpec] = {
     val ranked = cols.indices.sortBy(i => -columnScore(cols(i))).toVector
+    if (ranked.isEmpty) return Seq.empty
     val specs = Seq.newBuilder[ChartSpec]
     specs += ChartSpec(Vector(ranked(0)), None)
     if (ranked.length > 1) specs += ChartSpec(ranked.take(2), None)
@@ -117,11 +119,13 @@ object DeLn {
 
   /** Opt-LN: the chart rendered from the table's *associated* spec, over
     * its columns' finite cells — the upper bound of VisRec + LineNet, not
-    * realisable in practice.
+    * realisable in practice. A spec that selects no column has no chart,
+    * and its vector is all zeros, which every query scores 0.
     */
   def optVec(cols: Array[Array[Double]], specCols: Array[Int], w: Int, h: Int): Array[Double] = {
     val (cw, ch) = candidateSize(w, h)
-    val spec = ChartSpec(specCols.toVector, None)
-    LineNet.embed(Raster.render(ChartSpec.underlying(cols.map(Features.finite), spec), cw, ch))
+    val series   = ChartSpec.underlying(cols.map(Features.finite), ChartSpec(specCols.toVector, None))
+    if (series.isEmpty) new Array[Double](LineNet.GridW * LineNet.GridH)
+    else LineNet.embed(Raster.render(series, cw, ch))
   }
 }

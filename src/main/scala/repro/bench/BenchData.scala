@@ -117,9 +117,12 @@ object BenchData {
     out
   }
 
-  /** Bucket label for a number of lines, as used by Tables I/III/V. */
+  /** The line-count buckets of Tables I/III/V, in the paper's order. */
+  val mBuckets: Seq[String] = Seq("1", "2-4", "5-7", ">7")
+
+  /** Bucket label of `mBuckets` for a number of lines. */
   def mBucket(m: Int): String =
-    if (m == 1) "1" else if (m <= 4) "2-4" else if (m <= 7) "5-7" else ">7"
+    mBuckets(if (m == 1) 0 else if (m <= 4) 1 else if (m <= 7) 2 else 3)
 
   private def genTable(
       rng: Random,

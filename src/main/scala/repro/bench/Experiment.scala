@@ -90,52 +90,43 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
     (Metrics.mean(prec), Metrics.mean(ndcg))
   }
 
-  def queriesAll: Seq[QueryPack]       = bench.queries.toSeq
-  def queriesWithDa: Seq[QueryPack]    = queriesAll.filter(_.isDa)
-  def queriesWithoutDa: Seq[QueryPack] = queriesAll.filterNot(_.isDa)
+  def queriesAll: Seq[QueryPack] = bench.queries.toSeq
   def queriesByBucket: Seq[(String, Seq[QueryPack])] =
-    Seq("1", "2-4", "5-7", ">7").map(b => b -> queriesAll.filter(q => BenchData.mBucket(q.m) == b))
+    BenchData.mBuckets.map(b => b -> queriesAll.filter(q => BenchData.mBucket(q.m) == b))
+
+  /** The query groups of Tables II and VI. */
+  def queriesByDa: Seq[(String, Seq[QueryPack])] =
+    Seq("Overall" -> queriesAll, "With DA" -> queriesAll.filter(_.isDa), "Without DA" -> queriesAll.filterNot(_.isDa))
 
   // ---- paper tables ------------------------------------------------------
 
   /** Table I: benchmark statistics (counts by number of lines M). */
   def tableI(): Seq[(String, Map[String, Int])] = {
-    val buckets = Seq("1", "2-4", "5-7", ">7")
-    val qCounts = buckets.map(b => b -> queriesAll.count(q => BenchData.mBucket(q.m) == b)).toMap
-    val rCounts =
-      buckets.map(b => b -> bench.repo.count(t => BenchData.mBucket(t.specCols.length) == b)).toMap
-    Seq("Query" -> qCounts, "Repository" -> rCounts)
+    def counts(ms: Seq[Int]) = BenchData.mBuckets.map(b => b -> ms.count(m => BenchData.mBucket(m) == b)).toMap
+    Seq("Query" -> counts(queriesAll.map(_.m)), "Repository" -> counts(bench.repo.toSeq.map(_.specCols.length)))
   }
 
-  /** Table II: overall / with-DA / without-DA effectiveness per method. */
-  def tableII(): Seq[(String, Seq[MethodMetrics])] =
-    Seq(
-      "Overall"    -> queriesAll,
-      "With DA"    -> queriesWithDa,
-      "Without DA" -> queriesWithoutDa
-    ).map { case (label, qs) =>
+  /** Every method's effectiveness per query group. */
+  private def methodTable(groups: Seq[(String, Seq[QueryPack])]): Seq[(String, Seq[MethodMetrics])] =
+    groups.map { case (label, qs) =>
       label -> methodRanks.map { case (name, rank) =>
         val (p, n) = metricsOf(rank, qs, gtMain)
         MethodMetrics(name, p, n)
       }
     }
 
-  /** Table III: effectiveness per line-count bucket, per method. */
-  def tableIII(): Seq[(String, Seq[MethodMetrics])] =
-    queriesByBucket.map { case (bucket, qs) =>
-      bucket -> methodRanks.map { case (name, rank) =>
-        val (p, n) = metricsOf(rank, qs, gtMain)
-        MethodMetrics(name, p, n)
-      }
-    }
+  /** Table II: overall / with-DA / without-DA effectiveness per method. */
+  def tableII(): Seq[(String, Seq[MethodMetrics])] = methodTable(queriesByDa)
 
-  /** Paper's window-size bucket label of Table IV. */
+  /** Table III: effectiveness per line-count bucket, per method. */
+  def tableIII(): Seq[(String, Seq[MethodMetrics])] = methodTable(queriesByBucket)
+
+  /** The paper's window-size buckets of Table IV, in its order. */
+  val windowBuckets: Seq[String] = Seq("0-10", "20-40", "40-60", "60-80", "80-100")
+
+  /** Bucket label of `windowBuckets` for an aggregation window. */
   def windowBucket(w: Int): String =
-    if (w <= 10) "0-10"
-    else if (w <= 40) "20-40"
-    else if (w <= 60) "40-60"
-    else if (w <= 80) "60-80"
-    else "80-100"
+    windowBuckets(if (w <= 10) 0 else if (w <= 40) 1 else if (w <= 60) 2 else if (w <= 80) 3 else 4)
 
   /** Table IV: FCM prec@k per (operator, window bucket) on the sweep. */
   def tableIV(): Map[(String, String), Double] = {
@@ -147,27 +138,28 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
       }
   }
 
-  /** Table V: FCM vs FCM-HCMAN, overall and per bucket. */
-  def tableV(): Seq[(String, MethodMetrics, MethodMetrics)] = {
-    val groups = ("Overall" -> queriesAll) +: queriesByBucket
+  /** FCM's and one ablated variant's effectiveness per query group. */
+  private def variantTable(
+      groups: Seq[(String, Seq[QueryPack])],
+      variant: String,
+      rank: Map[Int, Array[Long]]
+  ): Seq[(String, MethodMetrics, MethodMetrics)] =
     groups.map { case (label, qs) =>
       val (pf, nf) = metricsOf(rankFcm, qs, gtMain)
-      val (ph, nh) = metricsOf(rankHcmanOff, qs, gtMain)
-      (label, MethodMetrics("FCM", pf, nf), MethodMetrics("FCM-HCMAN", ph, nh))
+      val (pv, nv) = metricsOf(rank, qs, gtMain)
+      (label, MethodMetrics("FCM", pf, nf), MethodMetrics(variant, pv, nv))
     }
-  }
+
+  /** Table V: FCM vs FCM-HCMAN, overall and per bucket. */
+  def tableV(): Seq[(String, MethodMetrics, MethodMetrics)] =
+    variantTable(("Overall" -> queriesAll) +: queriesByBucket, "FCM-HCMAN", rankHcmanOff)
 
   /** Table VI: FCM vs FCM-DA, overall / with DA / without DA. */
-  def tableVI(): Seq[(String, MethodMetrics, MethodMetrics)] =
-    Seq(
-      "Overall"    -> queriesAll,
-      "With DA"    -> queriesWithDa,
-      "Without DA" -> queriesWithoutDa
-    ).map { case (label, qs) =>
-      val (pf, nf) = metricsOf(rankFcm, qs, gtMain)
-      val (pd, nd) = metricsOf(rankDaOff, qs, gtMain)
-      (label, MethodMetrics("FCM", pf, nf), MethodMetrics("FCM-DA", pd, nd))
-    }
+  def tableVI(): Seq[(String, MethodMetrics, MethodMetrics)] = variantTable(queriesByDa, "FCM-DA", rankDaOff)
+
+  /** Overall (prec, ndcg) of FCM under `c`, with a head retrained on `nNeg` negatives. */
+  private def retrainedMetrics(c: FcmConfig, nNeg: Int = 3): (Double, Double) =
+    metricsOf(ranked(bench.queries, Scorer.fcm(trainVariant(c, nNeg))), queriesAll, gtMain)
 
   /** Table VII: overall prec@k over the P1 × P2 grid, head retrained per
     * config. Intended to be run on the reduced-scale experiment.
@@ -175,14 +167,8 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
   def tableVII(
       p1s: Seq[Int] = Seq(15, 30, 60, 120, 240),
       p2s: Seq[Int] = Seq(16, 32, 64, 128, 256)
-  ): Map[(Int, Int), Double] = {
-    (for { p1 <- p1s; p2 <- p2s } yield {
-      val c    = trainVariant(defaultCfg.copy(p1 = p1, p2 = p2))
-      val rank = ranked(bench.queries, Scorer.fcm(c))
-      val (p, _) = metricsOf(rank, queriesAll, gtMain)
-      (p1, p2) -> p
-    }).toMap
-  }
+  ): Map[(Int, Int), Double] =
+    (for { p1 <- p1s; p2 <- p2s } yield (p1, p2) -> retrainedMetrics(defaultCfg.copy(p1 = p1, p2 = p2))._1).toMap
 
   // ---- indexing (Table VIII) --------------------------------------------
 
@@ -223,24 +209,80 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
   /** Table IX: effectiveness vs the number of negatives N⁻. */
   def tableIX(ns: Seq[Int] = 1 to 8): Seq[(Int, Double, Double)] =
     ns.map { n =>
-      val c    = trainVariant(defaultCfg, nNeg = n)
-      val rank = ranked(bench.queries, Scorer.fcm(c))
-      val (p, nd) = metricsOf(rank, queriesAll, gtMain)
+      val (p, nd) = retrainedMetrics(defaultCfg, n)
       (n, p, nd)
     }
 
   // ---- rendering ---------------------------------------------------------
+  //
+  // One function per paper table. The jobs and the bench suites print what
+  // these return under their own titles.
 
-  def fmt(d: Double): String = f"$d%.3f"
+  private def fmt(d: Double): String = f"$d%.3f"
 
-  def renderMethodTable(rows: Seq[(String, Seq[MethodMetrics])], metric: String): String = {
-    val names  = rows.head._2.map(_.method)
-    val header = ("%-12s".format("")) + names.map(n => "%-10s".format(n)).mkString
+  /** Lines of left-aligned cells, cell i padded to `widths(i)` (the last width repeats). */
+  private def grid(widths: Seq[Int], lines: Seq[Seq[String]]): String =
+    lines.map(_.zipWithIndex.map { case (c, i) => s"%-${widths(math.min(i, widths.length - 1))}s".format(c) }.mkString)
+      .mkString("\n")
+
+  /** Width of a label column: `min`, or two more than the longest label. */
+  private def labelWidth(labels: Seq[String], min: Int): Int = (min +: labels.map(_.length + 2)).max
+
+  /** Table I: per population, its total and its count in each M bucket. */
+  def renderTableI(rows: Seq[(String, Map[String, Int])]): String =
+    grid(Seq(12, 8), ("" +: "Overall" +: BenchData.mBuckets) +: rows.map { case (who, counts) =>
+      who +: (counts.values.sum +: BenchData.mBuckets.map(counts)).map(_.toString)
+    })
+
+  /** Tables II and III: a prec line and an ndcg line per group, a column per method. */
+  def renderMethodTable(rows: Seq[(String, Seq[MethodMetrics])]): String = {
     val body = rows.flatMap { case (label, ms) =>
-      val p = "%-12s".format(s"$label p") + ms.map(m => "%-10s".format(fmt(m.prec))).mkString
-      val n = "%-12s".format(s"$label n") + ms.map(m => "%-10s".format(fmt(m.ndcg))).mkString
-      Seq(p, n)
+      Seq(s"$label p" +: ms.map(m => fmt(m.prec)), s"$label n" +: ms.map(m => fmt(m.ndcg)))
     }
-    (header +: body).mkString("\n")
+    grid(Seq(labelWidth(body.map(_.head), 12), 10), ("" +: rows.head._2.map(_.method)) +: body)
   }
+
+  /** Table IV: a line per operator, a column per window bucket; "-" for an empty cell. */
+  def renderTableIV(t: Map[(String, String), Double]): String =
+    grid(Seq(6, 10), ("" +: windowBuckets) +: Seq("min", "max", "sum", "avg").map { op =>
+      op +: windowBuckets.map(b => t.get((op, b)).map(fmt).getOrElse("-"))
+    })
+
+  /** Table V: FCM and FCM-HCMAN per M bucket. */
+  def renderTableV(rows: Seq[(String, MethodMetrics, MethodMetrics)]): String =
+    renderVariantTable(rows, "M", "HCMAN-")
+
+  /** Table VI: FCM and FCM-DA per query group. */
+  def renderTableVI(rows: Seq[(String, MethodMetrics, MethodMetrics)]): String =
+    renderVariantTable(rows, "Queries", "FCM-DA")
+
+  /** FCM's prec and ndcg beside a variant's, a line per group. */
+  private def renderVariantTable(
+      rows: Seq[(String, MethodMetrics, MethodMetrics)],
+      corner: String,
+      variant: String
+  ): String =
+    grid(
+      Seq(labelWidth(rows.map(_._1), 10), 10, 10, 12),
+      Seq(corner, "FCM p", "FCM n", s"$variant p", s"$variant n") +: rows.map { case (label, f, v) =>
+        Seq(label, fmt(f.prec), fmt(f.ndcg), fmt(v.prec), fmt(v.ndcg))
+      }
+    )
+
+  /** Table VII: a line per P1, a column per P2. */
+  def renderTableVII(t: Map[(Int, Int), Double]): String = {
+    val p1s = t.keys.map(_._1).toSeq.distinct.sorted
+    val p2s = t.keys.map(_._2).toSeq.distinct.sorted
+    grid(Seq(8, 10), ("P1\\P2" +: p2s.map(_.toString)) +: p1s.map(p1 => p1.toString +: p2s.map(p2 => fmt(t((p1, p2))))))
+  }
+
+  /** Table VIII: a line per index strategy. */
+  def renderTableVIII(rows: Seq[IndexRow]): String =
+    grid(Seq(16, 10, 10, 12, 14), Seq("Strategy", "prec", "ndcg", "query ms", "avg cands") +: rows.map { r =>
+      Seq(r.strategy, fmt(r.prec), fmt(r.ndcg), r.timeMs.toString, f"${r.avgCandidates}%.1f")
+    })
+
+  /** Table IX: a column per N⁻, under a prec line and an ndcg line. */
+  def renderTableIX(rows: Seq[(Int, Double, Double)]): String =
+    grid(Seq(8), Seq("N-" +: rows.map(_._1.toString), "prec" +: rows.map(r => fmt(r._2)), "ndcg" +: rows.map(r => fmt(r._3))))
 }

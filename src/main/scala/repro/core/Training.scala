@@ -62,21 +62,22 @@ object Training {
     l
   }
 
-  /** Learning rate and L2 penalty of `trainLogistic`. */
+  /** Learning rate, L2 penalty and number of epochs of `trainLogistic`. */
   private val LearningRate = 1.0
   private val L2           = 1e-4
+  private val Epochs       = 400
 
   /** Full-batch gradient descent on Eq. 2 with a small L2 penalty.
     * Deterministic given the example order. Returns the learned weights
     * (bias first, length dim+1).
     */
-  def trainLogistic(examples: Seq[Example], dim: Int, epochs: Int = 400): Array[Double] = {
+  def trainLogistic(examples: Seq[Example], dim: Int): Array[Double] = {
     val w = new Array[Double](dim + 1)
     if (examples.isEmpty) return w
     val nPos = math.max(1, examples.count(_.y > 0.5))
     val nNeg = math.max(1, examples.count(_.y < 0.5))
     var epoch = 0
-    while (epoch < epochs) {
+    while (epoch < Epochs) {
       val g = new Array[Double](dim + 1)
       examples.foreach { ex =>
         var z = w(0)
@@ -110,8 +111,11 @@ object Training {
       rawCols: Array[Array[Double]]
   ) extends Serializable
 
-  /** Seed of `trainHead`'s shuffle and negative sampling. */
-  private val Seed = 7L
+  /** Seed of `trainHead`'s shuffle and negative sampling, and the size of
+    * the mini-batches its negatives are mined in.
+    */
+  private val Seed      = 7L
+  private val BatchSize = 16
 
   /** Build labelled examples from training packs with mini-batch negative
     * mining, then fit the head. Table embeddings are encoded once under
@@ -121,9 +125,7 @@ object Training {
       packs: Array[TrainPack],
       cfg: FcmConfig,
       nNeg: Int,
-      strategy: NegStrategy,
-      batchSize: Int = 16,
-      epochs: Int = 400
+      strategy: NegStrategy
   ): Array[Double] = {
     val rng = new Random(Seed)
     val charts = packs.map(p =>
@@ -133,7 +135,7 @@ object Training {
     val preparedCols = packs.map(_.rawCols.map(Relevance.prep))
     val order = rng.shuffle(packs.indices.toList)
     val examples = Seq.newBuilder[Example]
-    order.grouped(batchSize).foreach { batch =>
+    order.grouped(BatchSize).foreach { batch =>
       val idx = batch.toArray
       idx.foreach { i =>
         // `selectNegatives` never reads the positive's own entry
@@ -147,6 +149,6 @@ object Training {
         }
       }
     }
-    trainLogistic(examples.result(), cfg.featureDim, epochs)
+    trainLogistic(examples.result(), cfg.featureDim)
   }
 }

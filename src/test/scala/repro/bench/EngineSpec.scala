@@ -140,6 +140,12 @@ class EngineSpec extends SparkSpec {
     assert(unequal.isEmpty)
   }
 
+  test("every method scores a table with no columns exactly 0") {
+    val empty = BenchTable(-1L, Array.empty[Array[Double]], Array.empty[Int], -1L, "empty")
+    for ((name, scorer, _) <- methods; q <- exp.bench.queries)
+      assert(scoreOf(scorer, q, empty) == 0.0, s"$name, query ${q.qid}")
+  }
+
   test("a restricted first pass over a fresh Dataset, then a full pass, ranks like the driver for every method") {
     val fresh    = exp.tablesDs.filter(_ => true).persist()
     val queries  = exp.bench.queries

@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.jobs.Jobs
 
 /** End-to-end retrieval at toy scale: the full pipeline (generation →
   * ground truth → training → distributed scoring → metrics → index), the
@@ -9,6 +10,11 @@ import repro.SparkSpec
 class IntegrationSpec extends SparkSpec {
 
   private lazy val exp = UnitCtx.exp
+
+  // the retraining and timed tables, at tiny grids, shared by the tests below
+  private lazy val gridVII  = exp.tableVII(p1s = Seq(60), p2s = Seq(32, 64))
+  private lazy val rowsVIII = exp.tableVIII()
+  private lazy val rowsIX   = exp.tableIX(Seq(1, 3))
 
   test("ground truth: relevant sets have exactly k entries") {
     exp.gtMain.values.foreach(r => assert(r.length == exp.cfg.k))
@@ -100,7 +106,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("index: interval strategy loses no relevant tables (same prec as scan)") {
-    val rows = exp.tableVIII()
+    val rows = rowsVIII
     val byName = rows.map(r => r.strategy -> r).toMap
     assert(byName("No Index").avgCandidates == exp.bench.repo.length.toDouble)
     assert(byName("Interval Tree").prec >= byName("No Index").prec - 0.051)
@@ -110,7 +116,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("tableIX returns one row per N- with bounded metrics") {
-    val rows = exp.tableIX(Seq(1, 3))
+    val rows = rowsIX
     assert(rows.map(_._1) == Seq(1, 3))
     rows.foreach { case (_, p, n) =>
       assert(p >= 0.0 && p <= 1.0)
@@ -119,8 +125,38 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("tableVII produces a full grid at a tiny parameter range") {
-    val grid = exp.tableVII(p1s = Seq(60), p2s = Seq(32, 64))
+    val grid = gridVII
     assert(grid.keySet == Set((60, 32), (60, 64)))
     grid.values.foreach(v => assert(v >= 0.0 && v <= 1.0))
+  }
+
+  test("every paper table renders a header and a line per row, its row cells in columns") {
+    val tables = Seq(
+      "I"    -> (exp.renderTableI(exp.tableI()), 1 + 2),
+      "II"   -> (exp.renderMethodTable(exp.tableII()), 1 + 3 * 2),
+      "III"  -> (exp.renderMethodTable(exp.tableIII()), 1 + 4 * 2),
+      "IV"   -> (exp.renderTableIV(exp.tableIV()), 1 + 4),
+      "V"    -> (exp.renderTableV(exp.tableV()), 1 + 5),
+      "VI"   -> (exp.renderTableVI(exp.tableVI()), 1 + 3),
+      "VII"  -> (exp.renderTableVII(gridVII), 1 + 1),
+      "VIII" -> (exp.renderTableVIII(rowsVIII), 1 + 4),
+      "IX"   -> (exp.renderTableIX(rowsIX), 3)
+    )
+    tables.foreach { case (name, (text, nLines)) =>
+      val lines = text.split("\n").toSeq
+      assert(lines.length == nLines, s"Table $name:\n$text")
+      // a row's cells are two or more spaces apart, so a label that runs
+      // into its first value leaves its line a cell short
+      val cells = lines.tail.map(_.split(" {2,}").length)
+      assert(cells.distinct.length == 1, s"Table $name:\n$text")
+    }
+  }
+
+  test("the table runner builds one experiment per scale, on the running session") {
+    val session = spark
+    val unit    = Jobs.experiment(BenchConfig.unit)
+    assert(unit.spark eq session)
+    assert(Jobs.experiment(BenchConfig.unit) eq unit)
+    assert(!(Jobs.experiment(BenchConfig.small) eq unit))
   }
 }

@@ -94,7 +94,7 @@ class TrainingSpec extends AnyFunSuite {
   test("trainHead returns a head of the right arity that separates self from others") {
     val packs = makePacks(12)
     val cfg   = FcmConfig()
-    val w     = trainHead(packs, cfg, nNeg = 2, NegStrategy.SemiHard, batchSize = 6, epochs = 150)
+    val w     = trainHead(packs, cfg, nNeg = 2, NegStrategy.SemiHard)
     assert(w.length == cfg.featureDim + 1)
     assert(w.forall(v => v.isFinite))
     val trained = cfg.withWeights(w)
@@ -107,7 +107,7 @@ class TrainingSpec extends AnyFunSuite {
   test("trainHead works for the HCMAN-off variant") {
     val packs = makePacks(8)
     val cfg   = FcmConfig(useHcman = false)
-    val w     = trainHead(packs, cfg, nNeg = 1, NegStrategy.Rand, batchSize = 4, epochs = 100)
+    val w     = trainHead(packs, cfg, nNeg = 1, NegStrategy.Rand)
     assert(w.length == cfg.featureDim + 1)
   }
 }
