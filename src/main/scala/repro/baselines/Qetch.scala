@@ -32,11 +32,13 @@ object Qetch {
 
   /** Candidate windows of a column's finite cells: the whole series plus
     * half-length windows at several offsets (Qetch searches across scales,
-    * locally re-normalising each window).
+    * locally re-normalising each window). A column with no finite cell has
+    * none, so every line scores 0 against it.
     */
   def columnProfiles(raw: Array[Double]): Array[Array[Double]] = {
     val col = Features.finite(raw)
     val n   = col.length
+    if (n == 0) return Array.empty
     val out = Array.newBuilder[Array[Double]]
     out += slopeProfile(col)
     for (offStep <- 0 to 2) {

@@ -48,8 +48,10 @@ final class Experiment(val spark: SparkSession, val cfg: BenchConfig) {
 
   // ---- trained model variants -------------------------------------------
 
-  def trainVariant(c: FcmConfig, nNeg: Int = 3): FcmConfig =
-    c.withWeights(Training.trainHead(bench.trainPacks, c, nNeg, Training.NegStrategy.SemiHard))
+  /** The training packs' negatives, mined once for every head. */
+  lazy val mined: Training.Mined = Training.mine(bench.trainPacks)
+
+  def trainVariant(c: FcmConfig, nNeg: Int = 3): FcmConfig = c.withWeights(mined.fit(c, nNeg))
 
   lazy val fcmCfg: FcmConfig      = trainVariant(defaultCfg)
   lazy val hcmanOffCfg: FcmConfig = trainVariant(defaultCfg.copy(useHcman = false))

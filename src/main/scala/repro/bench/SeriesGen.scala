@@ -76,7 +76,7 @@ object SeriesGen {
     * fixed-seed `Random` draws every row, so the pool depends on `sf`
     * alone.
     */
-  def tpchPool(sf: Double = 0.01, sliceLen: Int = 512): Array[Array[Double]] = {
+  def tpchPool(sf: Double, sliceLen: Int = 512): Array[Array[Double]] = {
     val rng   = new Random(0L)
     val qty   = new Array[Double](ShipDays)
     val price = new Array[Double](ShipDays)

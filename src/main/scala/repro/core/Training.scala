@@ -1,47 +1,34 @@
 package repro.core
 
+import repro.vis.ExtractedChart
+
 import scala.util.Random
 
 /** FCM head training (paper Sec. V-E and appendix B/E).
   *
   * Positives are the benchmark's (chart, source table) pairs; for each
-  * positive, `nNeg` negatives are mined inside its mini-batch by ranking
-  * `Rel(D, T)` with one of the four strategies (semi-hard / random / hard /
-  * easy). The head is then fit by gradient descent on the weighted binary
-  * cross-entropy of Eq. 2.
+  * positive, `nNeg` semi-hard negatives are mined inside its mini-batch by
+  * ranking `Rel(D, T)`. The ranking depends only on the packs, so `mine`
+  * computes it once, and `Mined.fit` fits a head from it under any config
+  * by gradient descent on the weighted binary cross-entropy of Eq. 2.
   */
 object Training {
 
+  /** The negative-mining rule: semi-hard, the one the paper trains with
+    * (its Fig. 5 compares three more, which are out of scope).
+    */
   sealed trait NegStrategy extends Serializable
   object NegStrategy {
     case object SemiHard extends NegStrategy
-    case object Rand     extends NegStrategy
-    case object Hard     extends NegStrategy
-    case object Easy     extends NegStrategy
   }
 
-  /** Pick `nNeg` negative candidate indices for a positive at `posIdx`,
-    * given relevance scores of every candidate in the mini-batch.
+  /** The semi-hard negatives of a positive: the middle `nNeg` of its mates'
+    * ranking (most relevant first), or all of them if there are fewer.
     */
-  def selectNegatives(
-      rel: Array[Double],
-      posIdx: Int,
-      nNeg: Int,
-      strategy: NegStrategy,
-      rng: Random
-  ): Seq[Int] = {
-    val candidates = rel.indices.filter(_ != posIdx)
-    if (candidates.isEmpty) return Seq.empty
-    val n = math.min(nNeg, candidates.length)
-    strategy match {
-      case NegStrategy.Rand => rng.shuffle(candidates.toList).take(n)
-      case NegStrategy.Hard => candidates.sortBy(i => -rel(i)).take(n)
-      case NegStrategy.Easy => candidates.sortBy(i => rel(i)).take(n)
-      case NegStrategy.SemiHard =>
-        val ranked = candidates.sortBy(i => -rel(i))
-        val start  = math.max(0, (ranked.length - n) / 2)
-        ranked.slice(start, start + n)
-    }
+  def selectNegatives(ranked: Seq[Int], nNeg: Int): Seq[Int] = {
+    val n     = math.min(nNeg, ranked.length)
+    val start = (ranked.length - n) / 2
+    ranked.slice(start, start + n)
   }
 
   /** One labelled training example: feature vector and {0,1} label. */
@@ -111,44 +98,47 @@ object Training {
       rawCols: Array[Array[Double]]
   ) extends Serializable
 
-  /** Seed of `trainHead`'s shuffle and negative sampling, and the size of
-    * the mini-batches its negatives are mined in.
-    */
+  /** Seed of `mine`'s shuffle, and the size of its mini-batches. */
   private val Seed      = 7L
   private val BatchSize = 16
 
-  /** Build labelled examples from training packs with mini-batch negative
-    * mining, then fit the head. Table embeddings are encoded once under
-    * `cfg`. Returns the trained head weights.
+  /** Training packs mined for negatives: every positive pack in training
+    * order, with its mini-batch mates ranked by `Rel(D, T)`.
     */
-  def trainHead(
-      packs: Array[TrainPack],
-      cfg: FcmConfig,
-      nNeg: Int,
-      strategy: NegStrategy
-  ): Array[Double] = {
-    val rng = new Random(Seed)
-    val charts = packs.map(p =>
-      ChartEncoder.encode(repro.vis.ExtractedChart(p.extractedLines, p.yLo, p.yHi), cfg)
-    )
-    val embs = packs.map(p => DatasetEncoder.encodeTable(-1L, p.rawCols, cfg))
-    val preparedCols = packs.map(_.rawCols.map(Relevance.prep))
-    val order = rng.shuffle(packs.indices.toList)
-    val examples = Seq.newBuilder[Example]
-    order.grouped(BatchSize).foreach { batch =>
-      val idx = batch.toArray
-      idx.foreach { i =>
-        // `selectNegatives` never reads the positive's own entry
-        val rel = idx.map { j =>
-          if (j == i) 0.0 else Relevance.relPrepared(packs(i).underlyingPrepared, preparedCols(j))
-        }
-        val posLocal = idx.indexOf(i)
-        examples += Example(Matcher.features(charts(i), embs(i), cfg), 1.0)
-        selectNegatives(rel, posLocal, nNeg, strategy, rng).foreach { jLocal =>
-          examples += Example(Matcher.features(charts(i), embs(idx(jLocal)), cfg), 0.0)
-        }
+  final case class Mined(packs: Array[TrainPack], ranked: Seq[(Int, Seq[Int])]) {
+
+    /** Fit a head under `cfg` on each positive and its `nNeg` semi-hard
+      * negatives. Packs are encoded once under `cfg`. Returns the trained
+      * head weights.
+      */
+    def fit(cfg: FcmConfig, nNeg: Int): Array[Double] = {
+      val charts = packs.map(p => ChartEncoder.encode(ExtractedChart(p.extractedLines, p.yLo, p.yHi), cfg))
+      val embs = packs.map(p => DatasetEncoder.encodeTable(-1L, p.rawCols, cfg))
+      val examples = ranked.flatMap { case (i, mates) =>
+        def example(j: Int, y: Double) = Example(Matcher.features(charts(i), embs(j), cfg), y)
+        example(i, 1.0) +: selectNegatives(mates, nNeg).map(example(_, 0.0))
       }
+      trainLogistic(examples, cfg.featureDim)
     }
-    trainLogistic(examples.result(), cfg.featureDim)
   }
+
+  /** Shuffle the packs (seed 7), cut them into mini-batches of 16 and rank
+    * each positive's mates by `Rel(D, T)`, most relevant first, ties in
+    * batch order. Needs no head config.
+    */
+  def mine(packs: Array[TrainPack]): Mined = {
+    val preparedCols = packs.map(_.rawCols.map(Relevance.prep))
+    val order = new Random(Seed).shuffle(packs.indices.toList)
+    Mined(packs, order.grouped(BatchSize).toSeq.flatMap { batch =>
+      batch.map { i =>
+        val mates = batch.filter(_ != i).toIndexedSeq
+        val rel   = mates.map(j => Relevance.relPrepared(packs(i).underlyingPrepared, preparedCols(j)))
+        i -> mates.indices.sortBy(k => -rel(k)).map(mates)
+      }
+    })
+  }
+
+  /** `mine(packs).fit(cfg, nNeg)`; negatives are always semi-hard. */
+  def trainHead(packs: Array[TrainPack], cfg: FcmConfig, nNeg: Int, strategy: NegStrategy): Array[Double] =
+    mine(packs).fit(cfg, nNeg)
 }

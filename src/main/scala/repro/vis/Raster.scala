@@ -21,9 +21,7 @@ final case class ChartImage(width: Int, height: Int, pixels: Array[Float], ticks
 
 /** From-scratch rasteriser for line charts (rendering substrate). */
 object Raster {
-  val DefaultW = 480
-  val DefaultH = 240
-  val NTicks   = 5
+  val NTicks = 5
 
   /** Intensity assigned to line `i` of `m`: distinct, in (0, 1]. */
   def lineIntensity(i: Int, m: Int): Float = ((i + 1).toFloat / m)
@@ -31,7 +29,7 @@ object Raster {
   /** Render data series (all of equal length, shared x) into a chart.
     * The y-range spans all series with a 5% margin, like most chart tools.
     */
-  def render(series: Array[Array[Double]], w: Int = DefaultW, h: Int = DefaultH): ChartImage = {
+  def render(series: Array[Array[Double]], w: Int, h: Int): ChartImage = {
     require(series.nonEmpty, "cannot render an empty chart")
     val m = series.length
     var lo = Double.PositiveInfinity

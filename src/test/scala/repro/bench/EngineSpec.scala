@@ -141,9 +141,14 @@ class EngineSpec extends SparkSpec {
   }
 
   test("every method scores a table with no columns exactly 0") {
-    val empty = BenchTable(-1L, Array.empty[Array[Double]], Array.empty[Int], -1L, "empty")
-    for ((name, scorer, _) <- methods; q <- exp.bench.queries)
-      assert(scoreOf(scorer, q, empty) == 0.0, s"$name, query ${q.qid}")
+    // and a table whose only column has no rows, or no finite cell
+    val empties = Seq(
+      BenchTable(-1L, Array.empty[Array[Double]], Array.empty[Int], -1L, "empty"),
+      BenchTable(-2L, Array(Array.empty[Double]), Array(0), -2L, "no rows"),
+      BenchTable(-3L, Array(Array(Double.NaN, Double.PositiveInfinity, Double.NaN, Double.NegativeInfinity)), Array(0), -3L, "non-finite")
+    )
+    for (t <- empties; (name, scorer, _) <- methods; q <- exp.bench.queries)
+      assert(scoreOf(scorer, q, t) == 0.0, s"$name, ${t.family} table, query ${q.qid}")
   }
 
   test("a restricted first pass over a fresh Dataset, then a full pass, ranks like the driver for every method") {

@@ -8,38 +8,16 @@ import scala.util.Random
 class TrainingSpec extends AnyFunSuite {
   import Training._
 
-  private val rel = Array(0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2)
-
-  test("hard strategy picks the highest-relevance candidates") {
-    val rng = new Random(1)
-    assert(selectNegatives(rel, 0, 2, NegStrategy.Hard, rng) == Seq(1, 2))
-  }
-
-  test("easy strategy picks the lowest-relevance candidates") {
-    val rng = new Random(1)
-    assert(selectNegatives(rel, 0, 2, NegStrategy.Easy, rng) == Seq(7, 6))
-  }
-
   test("semi-hard strategy picks the middle of the ranking") {
-    val rng = new Random(1)
-    val picked = selectNegatives(rel, 0, 3, NegStrategy.SemiHard, rng)
-    assert(picked.length == 3)
+    val picked = selectNegatives(1 to 7, 3)
+    assert(picked == Seq(3, 4, 5))
     assert(!picked.contains(1)) // not the hardest
     assert(!picked.contains(7)) // not the easiest
   }
 
-  test("random strategy is seeded and excludes the positive") {
-    val a = selectNegatives(rel, 3, 4, NegStrategy.Rand, new Random(5))
-    val b = selectNegatives(rel, 3, 4, NegStrategy.Rand, new Random(5))
-    assert(a == b)
-    assert(!a.contains(3))
-    assert(a.distinct.length == 4)
-  }
-
   test("selection never returns more than the candidate pool") {
-    val rng = new Random(2)
-    assert(selectNegatives(Array(0.5, 0.4), 0, 5, NegStrategy.SemiHard, rng).length == 1)
-    assert(selectNegatives(Array(0.5), 0, 3, NegStrategy.Hard, rng).isEmpty)
+    assert(selectNegatives(Seq(1), 5) == Seq(1))
+    assert(selectNegatives(Seq.empty, 3).isEmpty)
   }
 
   test("trainLogistic separates linearly separable data") {
@@ -107,7 +85,85 @@ class TrainingSpec extends AnyFunSuite {
   test("trainHead works for the HCMAN-off variant") {
     val packs = makePacks(8)
     val cfg   = FcmConfig(useHcman = false)
-    val w     = trainHead(packs, cfg, nNeg = 1, NegStrategy.Rand)
+    val w     = trainHead(packs, cfg, nNeg = 1, NegStrategy.SemiHard)
     assert(w.length == cfg.featureDim + 1)
+  }
+
+  /** `trainHead` as it was before mining was split from fitting: it mined
+    * inside every call, and chose among four strategies, of which this keeps
+    * the semi-hard branch verbatim. The reference the split must match bit
+    * for bit.
+    */
+  private def referenceTrainHead(packs: Array[TrainPack], cfg: FcmConfig, nNeg: Int): Array[Double] = {
+    def selectSemiHard(rel: Array[Double], posIdx: Int, nNeg: Int): Seq[Int] = {
+      val candidates = rel.indices.filter(_ != posIdx)
+      if (candidates.isEmpty) return Seq.empty
+      val n = math.min(nNeg, candidates.length)
+      val ranked = candidates.sortBy(i => -rel(i))
+      val start  = math.max(0, (ranked.length - n) / 2)
+      ranked.slice(start, start + n)
+    }
+    val rng = new Random(7L)
+    val charts = packs.map(p =>
+      ChartEncoder.encode(repro.vis.ExtractedChart(p.extractedLines, p.yLo, p.yHi), cfg)
+    )
+    val embs = packs.map(p => DatasetEncoder.encodeTable(-1L, p.rawCols, cfg))
+    val preparedCols = packs.map(_.rawCols.map(Relevance.prep))
+    val order = rng.shuffle(packs.indices.toList)
+    val examples = Seq.newBuilder[Example]
+    order.grouped(16).foreach { batch =>
+      val idx = batch.toArray
+      idx.foreach { i =>
+        val rel = idx.map { j =>
+          if (j == i) 0.0 else Relevance.relPrepared(packs(i).underlyingPrepared, preparedCols(j))
+        }
+        val posLocal = idx.indexOf(i)
+        examples += Example(Matcher.features(charts(i), embs(i), cfg), 1.0)
+        selectSemiHard(rel, posLocal, nNeg).foreach { jLocal =>
+          examples += Example(Matcher.features(charts(i), embs(idx(jLocal)), cfg), 0.0)
+        }
+      }
+    }
+    trainLogistic(examples.result(), cfg.featureDim)
+  }
+
+  test("trainHead and a fit from mine equal the mine-in-every-call reference in raw weight bits") {
+    val packs = makePacks(40) // mini-batches of 16, 16 and 8
+    val mined = mine(packs)
+    def bits(w: Array[Double]) = w.map(java.lang.Double.doubleToRawLongBits).toSeq
+    for {
+      cfg  <- Seq(FcmConfig(), FcmConfig(useHcman = false), FcmConfig(useDa = false))
+      nNeg <- 1 to 8
+    } {
+      val expected = bits(referenceTrainHead(packs, cfg, nNeg))
+      assert(bits(mined.fit(cfg, nNeg)) == expected, s"fit, $cfg, nNeg $nNeg")
+      assert(bits(trainHead(packs, cfg, nNeg, NegStrategy.SemiHard)) == expected, s"trainHead, $cfg, nNeg $nNeg")
+    }
+  }
+
+  test("mine ranks each positive's mini-batch mates by Rel, most relevant first, ties in batch order") {
+    // the last 8 packs repeat the first 8, so Rel ties occur
+    val base  = makePacks(12)
+    val packs = base ++ base.take(8)
+    val mined = mine(packs)
+    val positives = mined.ranked.map(_._1)
+    assert(positives.sorted == packs.indices)
+    val prepared = packs.map(_.rawCols.map(Relevance.prep))
+    var ties = 0
+    positives.grouped(16).foreach { batch =>
+      batch.foreach { i =>
+        val ranking = mined.ranked.find(_._1 == i).get._2
+        assert(ranking.sorted == batch.filter(_ != i).sorted)
+        val rel = ranking.map(j => Relevance.relPrepared(packs(i).underlyingPrepared, prepared(j)))
+        ranking.indices.drop(1).foreach { k =>
+          assert(rel(k) <= rel(k - 1), s"positive $i")
+          if (rel(k) == rel(k - 1)) {
+            ties += 1
+            assert(batch.indexOf(ranking(k)) > batch.indexOf(ranking(k - 1)), s"positive $i")
+          }
+        }
+      }
+    }
+    assert(ties > 0)
   }
 }
