@@ -71,13 +71,10 @@ object Qetch {
   /** `Rel'(V, T)` over prepared profiles: bipartite aggregation over all
     * (line, column) pairs, normalised by the number of lines.
     */
-  def scoreProfiles(lineProfiles: Array[Array[Double]], colProfiles: Array[Array[Array[Double]]]): Double = {
-    if (lineProfiles.isEmpty || colProfiles.isEmpty) return 0.0
-    val w = Array.tabulate(lineProfiles.length, colProfiles.length) { (i, j) =>
+  def scoreProfiles(lineProfiles: Array[Array[Double]], colProfiles: Array[Array[Array[Double]]]): Double =
+    Matching.lift(Array.tabulate(lineProfiles.length, colProfiles.length) { (i, j) =>
       lineColumnRel(lineProfiles(i), colProfiles(j))
-    }
-    Matching.maxWeight(w)._1 / lineProfiles.length
-  }
+    })
 
   /** `Rel'(V, T)` of an extracted chart against a table's columns. */
   def score(chart: ExtractedChart, cols: Array[Array[Double]]): Double =

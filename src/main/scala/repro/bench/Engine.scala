@@ -110,24 +110,23 @@ object Engine {
       tables: Dataset[BenchTable],
       f: BenchTable => Iterator[Scored]
   ): (Map[Int, Array[Long]], Long) =
-    collectRanked(tables.rdd)(_.flatMap(f))
+    ranked(run(tables.rdd)(_.flatMap(f)))
 
-  /** Run `f` over every partition of `rdd` in one job and rank its rows per
-    * query by (−score, table id); also returns the job's wall-clock
-    * milliseconds. The job computes every partition, so the first job over
-    * a locally checkpointed RDD materialises its checkpoint.
+  /** The one Spark job of a pass: runs `f` over every partition of `rdd`
+    * and returns the rows it emits and the job's wall-clock milliseconds.
+    * The job computes every partition, so the first job over a locally
+    * checkpointed RDD materialises its checkpoint.
     */
-  private def collectRanked[A](rdd: RDD[A])(f: Iterator[A] => Iterator[Scored]): (Map[Int, Array[Long]], Long) = {
+  private def run[A](rdd: RDD[A])(f: Iterator[A] => Iterator[Scored]): (Array[Scored], Long) = {
     val t0   = System.nanoTime()
     val rows = rdd.sparkContext.runJob(rdd, new PassTask(f), rdd.partitions.indices)
     val ms   = (System.nanoTime() - t0) / 1000000L
-    val ranked = rows.flatten
-      .groupBy(_.qid)
-      .map { case (q, arr) =>
-        q -> arr.sortBy(s => (-s.score, s.tid)).map(_.tid)
-      }
-    (ranked, ms)
+    (rows.flatten, ms)
   }
+
+  /** A job's rows ranked per query by (−score, table id), and its ms. */
+  private def ranked(job: (Array[Scored], Long)): (Map[Int, Array[Long]], Long) =
+    (job._1.groupBy(_.qid).map { case (q, arr) => q -> arr.sortBy(s => (-s.score, s.tid)).map(_.tid) }, job._2)
 
   /** The task function of a pass. It is a named class, not a lambda:
     * Spark's closure cleaner returns at once for a function object that is
@@ -174,26 +173,37 @@ object Engine {
     }.asInstanceOf[RDD[(Long, T)]]
   }
 
-  /** Rank the repository for every query with `scorer`. A query listed in
+  /** Score the repository for every query with `scorer` in one job: the
+    * (query, table) rows, unordered, and the job's ms. A query listed in
     * `restrict` is scored only against its candidate tables. The first pass
     * over `tables` with the scorer's encoding encodes every table; later
     * passes reuse those encodings while `tables` stays persisted.
     */
+  def scores[Q, T](
+      spark: SparkSession,
+      tables: Dataset[BenchTable],
+      queries: Array[QueryPack],
+      scorer: Scorer[Q, T],
+      restrict: Map[Int, Set[Long]]
+  ): (Array[Scored], Long) = {
+    val qs    = queries.map(q => (q.qid, scorer.query(q)))
+    val score = scorer.score
+    run(encodedTables(tables, scorer))(_.flatMap { case (tid, enc) =>
+      qs.iterator.collect {
+        case (qid, q) if restrict.get(qid).forall(_.contains(tid)) => Scored(qid, tid, score(q, enc))
+      }
+    })
+  }
+
+  /** `scores` ranked per query: best first, ties by table id. */
   def rank[Q, T](
       spark: SparkSession,
       tables: Dataset[BenchTable],
       queries: Array[QueryPack],
       scorer: Scorer[Q, T],
       restrict: Map[Int, Set[Long]] = Map.empty
-  ): (Map[Int, Array[Long]], Long) = {
-    val qs    = queries.map(q => (q.qid, scorer.query(q)))
-    val score = scorer.score
-    collectRanked(encodedTables(tables, scorer))(_.flatMap { case (tid, enc) =>
-      qs.iterator.collect {
-        case (qid, q) if restrict.get(qid).forall(_.contains(tid)) => Scored(qid, tid, score(q, enc))
-      }
-    })
-  }
+  ): (Map[Int, Array[Long]], Long) =
+    ranked(scores(spark, tables, queries, scorer, restrict))
 
   /** FCM (any variant via `cfg`). */
   def fcmRank(

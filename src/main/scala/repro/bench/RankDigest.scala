@@ -7,7 +7,8 @@ import java.security.MessageDigest
   * bit at one scale: the `Engine.rank` rankings of FCM, FCM-DA, FCM-HCMAN,
   * CML, Qetch*, DE-LN, Opt-LN and the ground truth GT over the experiment's
   * repository; the three trained head weight vectors; and the raw score
-  * bits of FCM, FCM-DA, Qetch* and GT on every (query, table) pair. It uses
+  * bits of FCM, FCM-DA, Qetch* and GT on every (query, table) pair, read
+  * from `Engine.scores`, the pass whose rows `Engine.rank` ranks. It uses
   * only the public scoring API, so the same file run on two revisions
   * tells whether they rank and score alike. `IntegrationSpec` pins the
   * digest of the unit-scale experiment; `repro.jobs.RankDigest` prints it
@@ -36,19 +37,11 @@ object RankDigest {
     Seq("FCM" -> e.fcmCfg, "FCM-HCMAN" -> e.hcmanOffCfg, "FCM-DA" -> e.daOffCfg).foreach { case (name, c) =>
       put(s"head $name ${c.weights.map(bits).mkString(",")}")
     }
-    Seq[(String, Scorer[_, _])]("FCM" -> fcm, "FCM-DA" -> daOff, "Qetch*" -> Scorer.qetch, "GT" -> Scorer.gt)
-      .foreach { case (name, scorer) => scores(e, scorer).foreach { case (qid, tid, s) => put(s"score $name $qid $tid ${bits(s)}") } }
+    Seq[(String, Scorer[_, _])]("FCM" -> fcm, "FCM-DA" -> daOff, "Qetch*" -> Scorer.qetch, "GT" -> Scorer.gt).foreach {
+      case (name, scorer) =>
+        Engine.scores(e.spark, e.tablesDs, queries, scorer, Map.empty)._1.sortBy(r => (r.qid, r.tid))
+          .foreach(r => put(s"score $name ${r.qid} ${r.tid} ${bits(r.score)}"))
+    }
     sha.digest().map(b => f"$b%02x").mkString
-  }
-
-  /** Every (query, table) score of `scorer`, sorted by query and table. */
-  private def scores[Q, T](e: Experiment, scorer: Scorer[Q, T]): Array[(Int, Long, Double)] = {
-    val qs    = e.bench.queries.map(q => (q.qid, scorer.query(q)))
-    val table = scorer.table
-    val score = scorer.score
-    e.tablesDs.rdd
-      .flatMap { t => val enc = table(t); qs.iterator.map { case (qid, q) => (qid, t.id, score(q, enc)) } }
-      .collect()
-      .sortBy(r => (r._1, r._2))
   }
 }

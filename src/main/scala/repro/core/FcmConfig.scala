@@ -18,6 +18,8 @@ final case class FcmConfig(
     useHcman: Boolean = true,
     weights: Array[Double] = null
 ) extends Serializable {
+  // a segment of 0 cells or pixels never advances `Features.segmentAll`
+  require(p1 >= 1 && p2 >= 1, s"segment sizes must be at least 1, got p1 = $p1, p2 = $p2")
 
   /** HMRL multi-scale window sizes (binary-tree levels): powers of two from
     * the leaf size 4 up to p2, never exceeding a quarter of the column so an

@@ -262,27 +262,32 @@ object Matcher {
     while (j < nl) {
       // attention logits: similarity biased towards positionally close segments
       val row = j * nc
-      var zMax = Double.NegativeInfinity
       n = 0
-      while (n < nc) {
-        z(n) = AttnKappa * s(row + n) - 3.0 * math.abs(lPos(j) - b.pos(o + n))
-        if (z(n) > zMax) zMax = z(n)
-        n += 1
-      }
-      var den = 0.0
-      var num = 0.0
-      n = 0
-      while (n < nc) {
-        val e = math.exp(z(n) - zMax)
-        den += e
-        num += e * s(row + n)
-        n += 1
-      }
-      softAlign += num / den
+      while (n < nc) { z(n) = AttnKappa * s(row + n) - 3.0 * math.abs(lPos(j) - b.pos(o + n)); n += 1 }
+      softAlign += attend(z, s, row)
       j += 1
     }
     f(0) = softAlign / nl
     f
+  }
+
+  /** The attention of both HCMAN levels: `Σ e(k)·v(o + k) / Σ e(k)` over
+    * k < `z.length` in index order, with `e = exp(z − max z)`.
+    */
+  private def attend(z: Array[Double], v: Array[Double], o: Int): Double = {
+    var zMax = Double.NegativeInfinity
+    var k = 0
+    while (k < z.length) { if (z(k) > zMax) zMax = z(k); k += 1 }
+    var den = 0.0
+    var num = 0.0
+    k = 0
+    while (k < z.length) {
+      val e = math.exp(z(k) - zMax)
+      den += e
+      num += e * v(o + k)
+      k += 1
+    }
+    num / den
   }
 
   /** Scalar pre-score of a pair feature vector (used for gating/attention). */
@@ -352,8 +357,11 @@ object Matcher {
   }
 
   /** Fraction of the chart's y-range covered by the column's feasible
-    * interval. With DA enabled the interval is the paper's index interval
-    * [min(C), sum(C)] extended to negatives; without DA it is [min, max].
+    * interval. With DA enabled the interval is the hull of {0, min(C),
+    * max(C), sum(C)}, so a column of positive cells gets [0, sum(C)];
+    * without DA it is [min, max]. The index (`HybridIndex.build`) stores
+    * [min(min, sum), max(max, sum)] instead, [min(C), sum(C)] for a
+    * positive column.
     */
   def rangeOverlap(chart: ChartEmb, col: ColumnEmb, useDa: Boolean): Double = {
     val lo = if (useDa) math.min(col.min, math.min(col.sum, 0.0)) else col.min
@@ -361,6 +369,14 @@ object Matcher {
     val span = math.max(chart.yHi - chart.yLo, 1e-9)
     val inter = math.min(chart.yHi, hi) - math.max(chart.yLo, lo)
     math.max(0.0, math.min(1.0, inter / span))
+  }
+
+  /** The largest `rangeOverlap` of the table's columns, 0 without columns. */
+  private def maxOverlap(chart: ChartEmb, tab: TableEmb, useDa: Boolean): Double = {
+    var b4 = 0.0
+    var c  = 0
+    while (c < tab.cols.length) { val ov = rangeOverlap(chart, tab.cols(c), useDa); if (ov > b4) b4 = ov; c += 1 }
+    b4
   }
 
   /** LL-SAN + chart-level feature assembly (6 dims, HCMAN variant). */
@@ -392,38 +408,23 @@ object Matcher {
     val b1 = matchW / m
     var b2 = 0.0
     var b3 = 0.0
+    val z  = new Array[Double](nc) // one line's attention logits
     i = 0
     while (i < m) {
       var best = 0.0
-      var zMax = Double.NegativeInfinity
       var c = 0
       while (c < nc) {
         if (u(i)(c) > best) best = u(i)(c)
-        if (AttnKappa * u(i)(c) > zMax) zMax = AttnKappa * u(i)(c)
-        c += 1
-      }
-      var den = 0.0
-      var num = 0.0
-      c = 0
-      while (c < nc) {
-        val e = math.exp(AttnKappa * u(i)(c) - zMax)
-        den += e
-        num += e * u(i)(c)
+        z(c) = AttnKappa * u(i)(c)
         c += 1
       }
       b2 += best
-      b3 += num / den
+      b3 += attend(z, u(i), 0)
       i += 1
     }
     b2 /= m
     b3 /= m
-    var b4 = 0.0
-    var c = 0
-    while (c < nc) {
-      val ov = rangeOverlap(chart, tab.cols(c), cfg.useDa)
-      if (ov > b4) b4 = ov
-      c += 1
-    }
+    val b4 = maxOverlap(chart, tab, cfg.useDa)
     var matched = 0
     var alignSum = 0.0
     i = 0
@@ -444,12 +445,7 @@ object Matcher {
     if (chart.m == 0 || tab.cols.isEmpty) return Array.fill(cfg.featureDim)(0.0)
     val chartPool = Features.pool(chart.lines.map(_.pooled))
     val tabPool   = Features.pool(tab.cols.map(_.pooled))
-    var b4 = 0.0
-    tab.cols.foreach { colEmb =>
-      val ov = rangeOverlap(chart, colEmb, cfg.useDa)
-      if (ov > b4) b4 = ov
-    }
-    Array(Features.sim(chartPool, tabPool), Features.cosine(chartPool, tabPool), b4)
+    Array(Features.sim(chartPool, tabPool), Features.cosine(chartPool, tabPool), maxOverlap(chart, tab, cfg.useDa))
   }
 
   /** Chart-table feature vector of the configured variant. */
@@ -460,13 +456,15 @@ object Matcher {
     * for a chart without lines or a table without a non-empty column, as
     * the ground truth `Rel` is.
     */
-  def score(chart: ChartEmb, tab: TableEmb, cfg: FcmConfig): Double = {
-    if (chart.m == 0 || tab.cols.forall(_.nRows == 0)) return 0.0
-    val x = features(chart, tab, cfg)
-    val w = cfg.headWeights
+  def score(chart: ChartEmb, tab: TableEmb, cfg: FcmConfig): Double =
+    if (chart.m == 0 || tab.cols.forall(_.nRows == 0)) 0.0
+    else sigmoid(logit(cfg.headWeights, features(chart, tab, cfg)))
+
+  /** The head's logit `w(0) + Σ w(i+1)·x(i)` in index order (bias first). */
+  def logit(w: Array[Double], x: Array[Double]): Double = {
     var z = w(0)
     var i = 0
     while (i < x.length) { z += w(i + 1) * x(i); i += 1 }
-    sigmoid(z)
+    z
   }
 }

@@ -82,4 +82,11 @@ object Matching {
     }
     (total, assign)
   }
+
+  /** The bipartite lift of per-pair scores `w(i)(j)` to one score (paper
+    * Sec. III-A): the max-weight matching's total over the number of rows,
+    * 0 when there are no rows or no columns.
+    */
+  def lift(w: Array[Array[Double]]): Double =
+    if (w.isEmpty || w(0).isEmpty) 0.0 else maxWeight(w)._1 / w.length
 }

@@ -20,12 +20,8 @@ object Relevance {
     Dtw.downsample(Features.znorm(Features.finite(xs)), MaxDtwLen)
 
   /** Rel over already-prepared (z-normalised, downsampled) series. */
-  def relPrepared(d: Array[Array[Double]], cols: Array[Array[Double]]): Double = {
-    val m = d.length
-    if (m == 0 || cols.isEmpty) return 0.0
-    val w = Array.tabulate(m, cols.length)((i, j) => Dtw.rel(d(i), cols(j)))
-    Matching.maxWeight(w)._1 / m
-  }
+  def relPrepared(d: Array[Array[Double]], cols: Array[Array[Double]]): Double =
+    Matching.lift(Array.tabulate(d.length, cols.length)((i, j) => Dtw.rel(d(i), cols(j))))
 
   /** Rel over raw series (prepares both sides). */
   def rel(d: Array[Array[Double]], cols: Array[Array[Double]]): Double =

@@ -40,10 +40,7 @@ object Training {
     val nNeg = math.max(1, examples.count(_.y < 0.5))
     var l = 0.0
     examples.foreach { ex =>
-      var z = w(0)
-      var i = 0
-      while (i < ex.x.length) { z += w(i + 1) * ex.x(i); i += 1 }
-      val p = math.min(1 - 1e-12, math.max(1e-12, Matcher.sigmoid(z)))
+      val p = math.min(1 - 1e-12, math.max(1e-12, Matcher.sigmoid(Matcher.logit(w, ex.x))))
       l -= (if (ex.y > 0.5) math.log(p) / nPos else math.log(1 - p) / nNeg)
     }
     l
@@ -67,13 +64,9 @@ object Training {
     while (epoch < Epochs) {
       val g = new Array[Double](dim + 1)
       examples.foreach { ex =>
-        var z = w(0)
-        var i = 0
-        while (i < ex.x.length) { z += w(i + 1) * ex.x(i); i += 1 }
-        val p = Matcher.sigmoid(z)
-        val e = (p - ex.y) / (if (ex.y > 0.5) nPos else nNeg)
+        val e = (Matcher.sigmoid(Matcher.logit(w, ex.x)) - ex.y) / (if (ex.y > 0.5) nPos else nNeg)
         g(0) += e
-        i = 0
+        var i = 0
         while (i < ex.x.length) { g(i + 1) += e * ex.x(i); i += 1 }
       }
       var i = 0

@@ -1,6 +1,8 @@
 package repro.baselines
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropCheck.{check, column, line}
 import repro.vis.{AggOp, ChartSpec, Extractor, Raster}
 
 import scala.util.Random
@@ -89,6 +91,17 @@ class BaselinesSpec extends AnyFunSuite {
     val sBoth = Qetch.score(ex, Array(a, b))
     val sOne  = Qetch.score(ex, Array(a))
     assert(sBoth > sOne) // second line finds a column only in the full table
+  }
+
+  test("Qetch: scoreProfiles is in [0, 1] on columns with non-finite cells, empty and constant columns (scalacheck)") {
+    val gen = for {
+      lines <- Gen.choose(0, 3).flatMap(Gen.listOfN(_, line(300)))
+      cols  <- Gen.choose(0, 4).flatMap(Gen.listOfN(_, column(300)))
+    } yield (lines.toArray.map(Qetch.slopeProfile), cols.toArray.map(Qetch.columnProfiles))
+    check(Prop.forAllNoShrink(gen) { case (lines, cols) =>
+      val s = Qetch.scoreProfiles(lines, cols)
+      s >= 0.0 && s <= 1.0
+    }, 100)
   }
 
   // ---- DeepEye / LineNet / DE-LN ----------------------------------------

@@ -15,6 +15,15 @@ class EncodersSpec extends AnyFunSuite {
     Array.fill(n) { x += rng.nextGaussian(); x }
   }
 
+  test("FcmConfig rejects a segment size below 1, also through copy") {
+    intercept[IllegalArgumentException](FcmConfig(p1 = 0))
+    intercept[IllegalArgumentException](FcmConfig(p2 = 0))
+    intercept[IllegalArgumentException](FcmConfig(p1 = -60))
+    intercept[IllegalArgumentException](FcmConfig(p2 = -1))
+    intercept[IllegalArgumentException](FcmConfig().copy(p2 = 0))
+    assert(FcmConfig(p1 = 1, p2 = 1).p2 == 1)
+  }
+
   test("encodeColumn computes exact raw stats") {
     val xs = Array(3.0, -1.0, 4.0, 1.0, 5.0)
     val nonFinite = Array(Double.NaN, 3.0, -1.0, Double.PositiveInfinity, 4.0, 1.0, Double.NegativeInfinity, 5.0)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.PropCheck.check
+import repro.PropCheck.{check, column, line}
 import repro.vis.{AggOp, Extractor, Raster}
 
 import scala.util.Random
@@ -159,6 +159,24 @@ class MatcherSpec extends AnyFunSuite {
       // a single non-empty column is enough for a regular score
       val oneCol = DatasetEncoder.encodeTable(3L, Array(Array.empty[Double], walk(256, 22)), c)
       assert(Matcher.score(chart, oneCol, c) > 0.0, c)
+    }
+  }
+
+  test("score is finite and in [0, 1] on tables with non-finite cells, empty and constant columns, DA and HCMAN on and off (scalacheck)") {
+    val gen = for {
+      tid   <- Gen.choose(0L, 1000L)
+      cols  <- Gen.choose(0, 4).flatMap(Gen.listOfN(_, column(300)))
+      lines <- Gen.choose(0, 3).flatMap(Gen.listOfN(_, line(300)))
+      yLo   <- Gen.choose(-10.0, 10.0)
+      span  <- Gen.choose(0.0, 20.0)
+    } yield (tid, cols.toArray, lines.toArray, yLo, span)
+    for (da <- Seq(true, false); hcman <- Seq(true, false)) {
+      val c = cfg.copy(useDa = da, useHcman = hcman)
+      check(Prop.forAllNoShrink(gen) { case (tid, cols, lines, yLo, span) =>
+        val chart = ChartEmb(lines.map(ChartEncoder.encodeLine(_, c)), yLo, yLo + span)
+        val s     = Matcher.score(chart, DatasetEncoder.encodeTable(tid, cols, c), c)
+        java.lang.Double.isFinite(s) && s >= 0.0 && s <= 1.0
+      }, 50)
     }
   }
 

@@ -1,6 +1,9 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropCheck.{check, column}
+
 import scala.util.Random
 
 class RelevanceSpec extends AnyFunSuite {
@@ -88,5 +91,19 @@ class RelevanceSpec extends AnyFunSuite {
     // second series finds no free column; score halves (plus epsilon)
     assert(Relevance.rel(d1, cols) == 1.0)
     assert(Relevance.rel(d2, cols) <= 0.51)
+  }
+
+  test("Rel is in [0, 1], and exactly 1 when each series is a distinct column of the table (scalacheck)") {
+    val gen = for {
+      cols  <- Gen.choose(0, 4).flatMap(Gen.listOfN(_, column(300)))
+      lines <- Gen.choose(0, 3).flatMap(Gen.listOfN(_, column(300)))
+      seed  <- Gen.choose(0L, Long.MaxValue)
+    } yield (cols.toArray.map(Relevance.prep), lines.toArray.map(Relevance.prep), seed)
+    check(Prop.forAllNoShrink(gen) { case (cols, lines, seed) =>
+      val r = Relevance.relPrepared(lines, cols)
+      // a prepared column with no cell matches nothing, not even itself
+      val own = new Random(seed).shuffle(cols.filter(_.nonEmpty).toSeq).take(1 + (seed % 3).toInt).toArray
+      r >= 0.0 && r <= 1.0 && (own.isEmpty || Relevance.relPrepared(own, cols) == 1.0)
+    }, 100)
   }
 }
